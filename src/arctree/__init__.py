@@ -48,7 +48,6 @@ from .problems import (
     ks_jacobian,
     ks_problem,
     ks_residual,
-    ks_sink,
     load_ks_fixture,
     reflect_profile,
     reflect_state,
@@ -100,7 +99,6 @@ __all__ = [
     "ks_jacobian",
     "ks_problem",
     "ks_residual",
-    "ks_sink",
     "load_ks_fixture",
     "make_root",
     "natural_continuation",

@@ -10,21 +10,19 @@ as the comparison column for benchmark runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .engine import BootstrapError, TerminationReason, bootstrap
-from .params import RunParams
-from .problem import (
-    Array,
-    CorrectorFailure,
-    CurvePoint,
-    EvaluationError,
-    ProblemDefinition,
-    corrector_step,
-    residual_norm,
+from .engine import (
+    Sink,
+    TerminationReason,
+    bootstrap,
+    correct,
+    emit_point,
+    start_point,
 )
+from .params import RunParams
+from .problem import Array, CurvePoint, EvaluationError, ProblemDefinition
 
 
 @dataclass
@@ -44,6 +42,7 @@ def natural_continuation(
     problem: ProblemDefinition,
     params: RunParams,
     initial_point: Array,
+    sink: Sink | None = None,
 ) -> SerialTrace:
     """March the parameter itself, solving for the state at each value.
 
@@ -51,16 +50,11 @@ def natural_continuation(
     plain Newton solve at fixed parameter shift.  The step is halved on
     failure and never grown.  This baseline cannot pass a fold: the
     Jacobian in the state variables becomes singular there, steps shrink,
-    and the run ends in STEP_UNDERFLOW.
+    and the run ends in STEP_UNDERFLOW.  Accepted points, the start
+    included, are emitted through emit_point as in the tree engine.
     """
-    z = np.array(initial_point, dtype=float)
-    r = residual_norm(problem, z)
-    if r > params.tol_residual:
-        raise BootstrapError(
-            f"initial point residual {r:.3e} exceeds tolerance "
-            f"{params.tol_residual:.3e}"
-        )
-    accepted = [CurvePoint(z.copy(), r)]
+    point = start_point(problem, params, initial_point)
+    accepted: list[CurvePoint] = []
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     h = params.delta_lambda
@@ -68,32 +62,27 @@ def natural_continuation(
     failures = 0
     reason = TerminationReason.ITERATION_BUDGET
     attempts = 0
-    while attempts < params.round_limit:
-        attempts += 1
-        if _window_exit(problem, params, z):
-            reason = TerminationReason.REACHED_LAMBDA_MAX
-            break
-        if abs(h) < params.h_min:
-            reason = TerminationReason.STEP_UNDERFLOW
-            break
-        zeta = z + h * axis
-        ok = False
-        try:
-            for _ in range(params.max_iter):
-                zeta = corrector_step(problem, zeta, axis, z, h)
-                steps += 1
-                r = residual_norm(problem, zeta)
-                if r <= params.tol_residual:
-                    ok = True
-                    break
-        except (CorrectorFailure, EvaluationError):
-            ok = False
-        if ok:
-            z = zeta
-            accepted.append(CurvePoint(z.copy(), r))
-        else:
-            failures += 1
-            h *= 0.5
+    try:
+        emit_point(problem, params, point, accepted, sink)
+        z = point.z
+        while attempts < params.round_limit:
+            attempts += 1
+            if _window_exit(problem, params, z):
+                reason = TerminationReason.REACHED_LAMBDA_MAX
+                break
+            if abs(h) < params.h_min:
+                reason = TerminationReason.STEP_UNDERFLOW
+                break
+            point, taken = correct(problem, z + h * axis, axis, z, h, params)
+            steps += taken
+            if point is None:
+                failures += 1
+                h *= 0.5
+                continue
+            emit_point(problem, params, point, accepted, sink)
+            z = point.z
+    except EvaluationError:
+        reason = TerminationReason.EVALUATION_FAILURE
     return SerialTrace(accepted, steps, failures, reason)
 
 
@@ -102,7 +91,7 @@ def serial_pac(
     params: RunParams,
     initial_point: Array,
     step_growth: bool = True,
-    sink: Callable[[CurvePoint], None] | None = None,
+    sink: Sink | None = None,
 ) -> SerialTrace:
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
@@ -110,42 +99,35 @@ def serial_pac(
     and runs up to max_iter corrector iterations on the bordered system.
     On success the step doubles (capped at h_max) unless step_growth is
     off; on failure it halves.  The run ends when the parameter leaves
-    its window, the step underflows h_min, or the attempt limit is hit.
-    The optional sink sees each accepted point as it lands, so problems
-    with internal templates (phase anchors) can refresh them exactly as
-    they do under the tree engine.
+    its window, the step underflows h_min, the attempt limit is hit, or
+    an accepted point fails re-verification.  Accepted points, the start
+    included, are emitted through emit_point as in the tree engine.
     """
     point0, tangent = bootstrap(problem, params, initial_point)
-    z = point0.z.copy()
-    accepted = [CurvePoint(z.copy(), point0.residual_norm)]
+    accepted: list[CurvePoint] = []
     h = abs(params.h_init)
     steps = 0
     failures = 0
     reason = TerminationReason.ITERATION_BUDGET
     attempts = 0
-    while attempts < params.round_limit:
-        attempts += 1
-        if _window_exit(problem, params, z):
-            reason = TerminationReason.REACHED_LAMBDA_MAX
-            break
-        if h < params.h_min:
-            reason = TerminationReason.STEP_UNDERFLOW
-            break
-        zeta = z + h * tangent
-        ok = False
-        r = np.inf
-        try:
-            for _ in range(params.max_iter):
-                zeta = corrector_step(problem, zeta, tangent, z, h)
-                steps += 1
-                r = residual_norm(problem, zeta)
-                if r <= params.tol_residual:
-                    ok = True
-                    break
-        except (CorrectorFailure, EvaluationError):
-            ok = False
-        if ok:
-            secant = zeta - z
+    try:
+        emit_point(problem, params, point0, accepted, sink)
+        z = point0.z
+        while attempts < params.round_limit:
+            attempts += 1
+            if _window_exit(problem, params, z):
+                reason = TerminationReason.REACHED_LAMBDA_MAX
+                break
+            if h < params.h_min:
+                reason = TerminationReason.STEP_UNDERFLOW
+                break
+            point, taken = correct(problem, z + h * tangent, tangent, z, h, params)
+            steps += taken
+            if point is None:
+                failures += 1
+                h *= 0.5
+                continue
+            secant = point.z - z
             norm = float(np.linalg.norm(secant))
             if norm >= 1e-14:
                 new_tangent = secant / norm
@@ -155,14 +137,10 @@ def serial_pac(
                 if float(np.dot(new_tangent, tangent)) < 0.0:
                     new_tangent = -new_tangent
                 tangent = new_tangent
-            z = zeta
-            point = CurvePoint(z.copy(), r)
-            if sink is not None:
-                sink(point)
-            accepted.append(point)
+            emit_point(problem, params, point, accepted, sink)
+            z = point.z
             if step_growth:
                 h = min(2.0 * h, params.h_max)
-        else:
-            failures += 1
-            h *= 0.5
+    except EvaluationError:
+        reason = TerminationReason.EVALUATION_FAILURE
     return SerialTrace(accepted, steps, failures, reason)

@@ -13,22 +13,15 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
 
-from .baselines import SerialTrace, natural_continuation, serial_pac
-from .engine import (
-    BootstrapError,
-    ContinuationResult,
-    TerminationReason,
-    run_continuation,
-)
+from .baselines import natural_continuation, serial_pac
+from .engine import BootstrapError, TerminationReason, run_continuation
 from .fileio import parse_parameters, read_initial_point, write_curve_point
 from .params import ParameterError, RunParams
 from .problem import CurvePoint, ProblemDefinition
-from .problems import KsConfig, circle_problem, ks_problem, ks_sink
+from .problems import KsConfig, circle_problem, ks_problem
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,15 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="threads used to serve corrector steps (never changes results)",
     )
     parser.add_argument(
-        "--benchmark",
-        action="store_true",
-        help=(
-            "run both the tree engine and serial-pac on the same inputs, "
-            "print a comparison table, and write curve.txt and "
-            "curve_serial.txt"
-        ),
-    )
-    parser.add_argument(
         "--ks-amplitude",
         type=float,
         default=8.09,
@@ -108,10 +92,10 @@ def resolve_problem(
     params: RunParams,
     initial_point,
     ks_amplitude: float,
-) -> tuple[ProblemDefinition, Callable[[CurvePoint], None] | None]:
-    """Build the problem and an optional per-point refresh hook."""
+) -> ProblemDefinition:
+    """Build the problem the --problem argument names."""
     if spec == "circle":
-        return circle_problem(), None
+        return circle_problem()
     if spec == "ks":
         n = params.n_dim - 2
         config = KsConfig(
@@ -119,7 +103,7 @@ def resolve_problem(
             amplitude=ks_amplitude,
             reference_profile=initial_point[:n],
         )
-        return ks_problem(config), ks_sink(config)
+        return ks_problem(config)
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
         module = importlib.import_module(module_name)
@@ -127,56 +111,21 @@ def resolve_problem(
         problem = obj() if callable(obj) and not isinstance(obj, ProblemDefinition) else obj
         if not isinstance(problem, ProblemDefinition):
             raise ValueError(f"{spec} did not produce a ProblemDefinition")
-        return problem, None
+        return problem
     raise ValueError(
         f"unknown problem {spec!r}: use 'circle', 'ks', or 'module:attr'"
-    )
-
-
-def _chain(*sinks):
-    active = [s for s in sinks if s is not None]
-
-    def sink(point: CurvePoint) -> None:
-        for s in active:
-            s(point)
-
-    return sink
-
-
-def _run_tree(
-    problem: ProblemDefinition,
-    params: RunParams,
-    z0,
-    refresh,
-    curve_path: Path,
-    workers: int,
-    outdir: Path,
-) -> ContinuationResult:
-    with open(curve_path, "w", encoding="utf-8") as fh:
-
-        def writer(point: CurvePoint) -> None:
-            write_curve_point(fh, point.z)
-            fh.flush()
-
-        return run_continuation(
-            problem,
-            params,
-            z0,
-            sink=_chain(refresh, writer),
-            n_workers=workers,
-            dot_dir=outdir,
-        )
-
-
-def _print_summary(name: str, points: int, steps: int, failures: int, wall: float) -> None:
-    print(
-        f"{name:<12} {points:>8} {steps:>10} {failures:>10} {wall:>9.3f}"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(
+            f"arctree: --workers must be at least 1, got {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
 
     try:
         params = parse_parameters(args.params)
@@ -200,83 +149,45 @@ def main(argv: list[str] | None = None) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    curve_path = outdir / "curve.txt"
 
     try:
-        problem, refresh = resolve_problem(
-            args.problem, params, z0, args.ks_amplitude
-        )
+        problem = resolve_problem(args.problem, params, z0, args.ks_amplitude)
     except (ImportError, AttributeError, ValueError) as exc:
         print(f"arctree: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if args.benchmark:
-            start = time.perf_counter()
-            result = _run_tree(
-                problem, params, z0, refresh, curve_path, args.workers, outdir
-            )
-            tree_wall = time.perf_counter() - start
-            # Fresh closure: the tree run may have moved problem-internal
-            # anchors, and the serial run must start from the same state.
-            serial_problem, serial_refresh = resolve_problem(
-                args.problem, params, z0, args.ks_amplitude
-            )
-            start = time.perf_counter()
-            serial: SerialTrace = serial_pac(
-                serial_problem, params, z0, sink=serial_refresh
-            )
-            serial_wall = time.perf_counter() - start
-            with open(outdir / "curve_serial.txt", "w", encoding="utf-8") as fh:
-                for point in serial.accepted_points:
-                    write_curve_point(fh, point.z)
-            print(
-                f"{'algorithm':<12} {'points':>8} {'steps':>10} "
-                f"{'failures':>10} {'wall_s':>9}"
-            )
-            _print_summary(
-                "tree",
-                len(result.accepted_points),
-                result.corrector_steps_total,
-                result.nodes_failed,
-                tree_wall,
-            )
-            _print_summary(
-                "serial",
-                len(serial.accepted_points),
-                serial.corrector_steps_total,
-                serial.failed_predictors,
-                serial_wall,
-            )
-            reason = result.termination_reason
-        elif args.algo == "pampac":
-            result = _run_tree(
-                problem, params, z0, refresh, curve_path, args.workers, outdir
-            )
-            reason = result.termination_reason
-            print(
-                f"{len(result.accepted_points)} points, "
-                f"{result.rounds_executed} rounds, "
-                f"{result.corrector_steps_total} corrector steps, "
-                f"{result.nodes_failed} failed nodes: {reason.value}"
-            )
-        else:
-            if args.algo == "serial-pac":
-                trace = serial_pac(problem, params, z0, sink=refresh)
+        with open(outdir / "curve.txt", "w", encoding="utf-8") as fh:
+
+            def writer(point: CurvePoint) -> None:
+                write_curve_point(fh, point.z)
+                fh.flush()
+
+            if args.algo == "pampac":
+                result = run_continuation(
+                    problem, params, z0, sink=writer,
+                    n_workers=args.workers, dot_dir=outdir,
+                )
+                reason = result.termination_reason
+                summary = (
+                    f"{len(result.accepted_points)} points, "
+                    f"{result.rounds_executed} rounds, "
+                    f"{result.corrector_steps_total} corrector steps, "
+                    f"{result.nodes_failed} failed nodes"
+                )
             else:
-                trace = natural_continuation(problem, params, z0)
-            with open(curve_path, "w", encoding="utf-8") as fh:
-                for point in trace.accepted_points:
-                    write_curve_point(fh, point.z)
-            reason = trace.termination_reason
-            print(
-                f"{len(trace.accepted_points)} points, "
-                f"{trace.corrector_steps_total} corrector steps, "
-                f"{trace.failed_predictors} failed predictors: {reason.value}"
-            )
+                run = serial_pac if args.algo == "serial-pac" else natural_continuation
+                trace = run(problem, params, z0, sink=writer)
+                reason = trace.termination_reason
+                summary = (
+                    f"{len(trace.accepted_points)} points, "
+                    f"{trace.corrector_steps_total} corrector steps, "
+                    f"{trace.failed_predictors} failed predictors"
+                )
     except BootstrapError as exc:
         print(f"arctree: {exc}", file=sys.stderr)
         return 1
+    print(f"{summary}: {reason.value}")
 
     return 0 if reason is TerminationReason.REACHED_LAMBDA_MAX else 1
 

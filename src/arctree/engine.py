@@ -68,7 +68,7 @@ class ContinuationResult:
     nodes_failed: int = 0
 
 
-class _EmitError(RuntimeError):
+class EmissionError(EvaluationError):
     """An accepted point failed re-verification at emission."""
 
 
@@ -109,6 +109,81 @@ class WorkerPool:
         return list(self._executor.map(call, tasks))
 
 
+def start_point(
+    problem: ProblemDefinition, params: RunParams, initial_point: Array
+) -> CurvePoint:
+    """Check that the initial point satisfies the residual tolerance.
+
+    A residual above tolerance or with non-finite entries raises
+    BootstrapError.
+    """
+    z0 = np.array(initial_point, dtype=float)
+    try:
+        r0 = residual_norm(problem, z0)
+    except EvaluationError as exc:
+        raise BootstrapError(f"initial point: {exc}") from exc
+    if r0 > params.tol_residual:
+        raise BootstrapError(
+            f"initial point residual {r0:.3e} exceeds tolerance "
+            f"{params.tol_residual:.3e}"
+        )
+    return CurvePoint(z0, r0)
+
+
+def correct(
+    problem: ProblemDefinition,
+    zeta: Array,
+    tangent: Array,
+    z_base: Array,
+    h: float,
+    params: RunParams,
+) -> tuple[CurvePoint | None, int]:
+    """Iterate the corrector from zeta until the residual meets tolerance.
+
+    Returns the converged point, or None when max_iter steps do not
+    converge or a step or residual evaluation fails, together with the
+    number of corrector steps completed.
+    """
+    steps = 0
+    try:
+        for _ in range(params.max_iter):
+            zeta = corrector_step(problem, zeta, tangent, z_base, h)
+            steps += 1
+            r = residual_norm(problem, zeta)
+            if r <= params.tol_residual:
+                return CurvePoint(zeta, r), steps
+    except (CorrectorFailure, EvaluationError):
+        pass
+    return None, steps
+
+
+def emit_point(
+    problem: ProblemDefinition,
+    params: RunParams,
+    point: CurvePoint,
+    accepted: list[CurvePoint],
+    sink: Sink | None,
+) -> None:
+    """Accept a point: refresh the problem, re-verify, then record it.
+
+    The problem's on_accept hook runs first, so the residual is checked
+    against the refreshed problem; a point that fails raises an
+    EvaluationError (EmissionError when the residual is finite but above
+    tolerance) and is neither recorded nor passed to the sink.
+    """
+    if problem.on_accept is not None:
+        problem.on_accept(point.z)
+    r = residual_norm(problem, point.z)
+    if r > params.tol_residual:
+        raise EmissionError(
+            f"accepted point failed re-verification: residual {r:.3e}"
+        )
+    verified = CurvePoint(point.z, r)
+    accepted.append(verified)
+    if sink is not None:
+        sink(verified)
+
+
 def bootstrap(
     problem: ProblemDefinition,
     params: RunParams,
@@ -124,37 +199,24 @@ def bootstrap(
     between the two points is returned oriented so the parameter
     component is positive when h_init is positive and negative otherwise.
     """
-    z0 = np.array(initial_point, dtype=float)
-    r0 = residual_norm(problem, z0)
-    if r0 > params.tol_residual:
-        raise BootstrapError(
-            f"initial point residual {r0:.3e} exceeds tolerance "
-            f"{params.tol_residual:.3e}"
-        )
+    point0 = start_point(problem, params, initial_point)
+    z0 = point0.z
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     zeta = z0 + params.delta_lambda * axis
-    neighbor = None
-    for _ in range(params.max_iter):
-        try:
-            zeta = corrector_step(problem, zeta, axis, z0, params.delta_lambda)
-        except CorrectorFailure as exc:
-            raise BootstrapError(f"neighbor-point corrector failed: {exc}") from exc
-        if residual_norm(problem, zeta) <= params.tol_residual:
-            neighbor = zeta
-            break
+    neighbor, _ = correct(problem, zeta, axis, z0, params.delta_lambda, params)
     if neighbor is None:
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
         )
-    secant = neighbor - z0
+    secant = neighbor.z - z0
     norm = float(np.linalg.norm(secant))
     if norm < 1e-14:
         raise BootstrapError("bootstrap secant is degenerate")
     direction = secant / norm
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
         direction = -direction
-    return CurvePoint(z0, r0), direction
+    return point0, direction
 
 
 def make_root(point: CurvePoint, direction: Array, params: RunParams) -> TreeNode:
@@ -321,10 +383,9 @@ def run_continuation(
     iteration to all unfinished nodes, write the tree snapshot when
     verbose is at least 2, prune, advance the root.  Stops when the
     root's parameter leaves [lambda_min, lambda_max], when the root's
-    base step underflows h_min, or when the round limit is hit.  Emitted
-    points are passed to the sink first (which may refresh
-    problem-internal templates) and re-verified against the residual
-    tolerance afterwards; the final root is emitted at termination.
+    base step underflows h_min, or when the round limit is hit.  Points
+    are emitted through emit_point, so the sink sees only re-verified
+    points; the final root is emitted at termination.
     """
     point0, direction = bootstrap(problem, params, initial_point)
     root = make_root(point0, direction, params)
@@ -332,14 +393,7 @@ def run_continuation(
     accepted: list[CurvePoint] = []
 
     def emit(point: CurvePoint) -> None:
-        if sink is not None:
-            sink(point)
-        r = residual_norm(problem, point.z)
-        if r > params.tol_residual:
-            raise _EmitError(
-                f"accepted point failed re-verification: residual {r:.3e}"
-            )
-        accepted.append(CurvePoint(point.z, r))
+        emit_point(problem, params, point, accepted, sink)
 
     def crossed(node: TreeNode) -> bool:
         lam = float(node.zeta[problem.lambda_index])
@@ -385,7 +439,7 @@ def run_continuation(
                     reason = TerminationReason.ITERATION_BUDGET
                     break
         emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
-    except (_EmitError, EvaluationError):
+    except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(
         accepted_points=accepted,

@@ -56,7 +56,9 @@ class ProblemDefinition:
     iteration with signature (zeta, tangent, z_base, h) -> new zeta and
     must be a pure function.  When corrector is None the problem must
     supply jacobian (shape (n_dim - 1, n_dim)) and the default bordered
-    Newton step is used.
+    Newton step is used.  on_accept, when given, is called with each
+    accepted point before it is re-verified and emitted, so a problem can
+    refresh internal templates such as a phase anchor.
     """
 
     n_dim: int
@@ -65,6 +67,7 @@ class ProblemDefinition:
     corrector: Callable[[Array, Array, Array, float], Array] | None = None
     jacobian: Callable[[Array], Array] | None = None
     name: str = ""
+    on_accept: Callable[[Array], None] | None = None
 
     def __post_init__(self) -> None:
         if self.n_dim < 2:

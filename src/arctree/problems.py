@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import Array, CurvePoint, ProblemDefinition
+from .problem import Array, ProblemDefinition
 
 
 def circle_problem() -> ProblemDefinition:
@@ -92,9 +92,9 @@ def grid(n: int) -> Array:
 class KsConfig:
     """Discretization and closure data for the travelling-wave problem.
 
-    reference_profile anchors the phase condition; the engine's sink
-    refreshes it to the most recent accepted profile so the condition
-    stays well scaled as the wave deforms along the branch.
+    reference_profile anchors the phase condition; the problem's
+    on_accept hook refreshes it to the most recent accepted profile so the
+    condition stays well scaled as the wave deforms along the branch.
     """
 
     n_grid: int
@@ -178,22 +178,19 @@ def ks_jacobian(config: KsConfig, z: Array) -> Array:
 
 
 def ks_problem(config: KsConfig) -> ProblemDefinition:
+    """The travelling-wave problem; each accepted point re-anchors its phase."""
+
+    def reanchor(z: Array) -> None:
+        config.reference_profile = np.array(z[: config.n_grid])
+
     return ProblemDefinition(
         n_dim=config.n_dim,
         lambda_index=config.lambda_index,
         residual=lambda z: ks_residual(config, z),
         jacobian=lambda z: ks_jacobian(config, z),
         name="ks",
+        on_accept=reanchor,
     )
-
-
-def ks_sink(config: KsConfig):
-    """Sink that re-anchors the phase condition at each accepted point."""
-
-    def refresh(point: CurvePoint) -> None:
-        config.reference_profile = np.array(point.z[: config.n_grid])
-
-    return refresh
 
 
 def reflect_profile(w: Array) -> Array:

@@ -30,7 +30,6 @@ from arctree import (
     ks_jacobian,
     ks_problem,
     ks_residual,
-    ks_sink,
     load_ks_fixture,
     make_root,
     natural_continuation,
@@ -231,9 +230,7 @@ def test_criterion_5_spectral_branch_run():
     assert rel <= 1e-5
 
     start = time.perf_counter()
-    result = run_continuation(
-        problem, params, z0, sink=ks_sink(config), n_workers=3
-    )
+    result = run_continuation(problem, params, z0, n_workers=3)
     wall = time.perf_counter() - start
     assert wall <= 300.0
 
@@ -267,12 +264,10 @@ def test_criterion_6_rounds_vs_serial_steps(tmp_path):
     params = ks_params()
 
     z0, config = load_ks_fixture()
-    tree = run_continuation(
-        ks_problem(config), params, z0, sink=ks_sink(config), n_workers=3
-    )
+    tree = run_continuation(ks_problem(config), params, z0, n_workers=3)
 
     z0, config = load_ks_fixture()  # fresh anchor closure for fairness
-    serial = serial_pac(ks_problem(config), params, z0, sink=ks_sink(config))
+    serial = serial_pac(ks_problem(config), params, z0)
 
     lines = [
         f"{'algorithm':<10} {'points':>8} {'rounds':>8} {'steps':>8} {'failures':>9}",

@@ -29,8 +29,12 @@ def linear_problem() -> ProblemDefinition:
 
 def test_natural_walks_a_fold_free_branch():
     params = make_params(delta_lambda=0.25, lambda_max=1.0)
-    trace = natural_continuation(linear_problem(), params, np.zeros(2))
+    seen = []
+    trace = natural_continuation(
+        linear_problem(), params, np.zeros(2), sink=seen.append
+    )
     assert trace.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    assert seen == trace.accepted_points
     lams = [p.z[1] for p in trace.accepted_points]
     assert lams == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert [p.z[0] for p in trace.accepted_points] == pytest.approx(lams)
@@ -104,9 +108,10 @@ def test_serial_sink_sees_every_accepted_point():
     seen = []
     params = make_params()
     trace = serial_pac(circle_problem(), params, Z0, sink=seen.append)
-    # the sink receives the points accepted after the start
-    assert len(seen) == len(trace.accepted_points) - 1
-    assert seen[0].z == pytest.approx(trace.accepted_points[1].z)
+    # the sink receives every accepted point, the start included
+    assert len(seen) == len(trace.accepted_points)
+    assert seen[0].z == pytest.approx(Z0)
+    assert seen == trace.accepted_points
 
 
 def test_serial_bootstrap_failure_propagates():

@@ -1,5 +1,6 @@
 """Command line interface: argument handling, outputs, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -51,13 +52,40 @@ def test_natural_algo_stalls_with_nonzero_exit(circle_args, tmp_path, capsys):
     assert curve[:, 1].max() <= 1.0 + 1e-10
 
 
-def test_benchmark_writes_both_curves(circle_args, tmp_path, capsys):
-    assert main(circle_args("--benchmark")) == 0
-    tree = read_curve(tmp_path / "curve.txt")
-    serial = read_curve(tmp_path / "curve_serial.txt")
-    assert len(tree) >= 10 and len(serial) >= 10
+# The one-line summary, as perfbench/run.py parses it.
+SUMMARY = re.compile(
+    r"(\d+) points, (?:(\d+) rounds, )?(\d+) corrector steps, "
+    r"(\d+) failed (nodes|predictors): [A-Z_]+$"
+)
+
+
+@pytest.mark.parametrize(
+    "algo,rounds,failures",
+    [
+        ("pampac", True, "nodes"),
+        ("serial-pac", False, "predictors"),
+        ("natural", False, "predictors"),
+    ],
+)
+def test_summary_line_wording(circle_args, tmp_path, capsys, algo, rounds, failures):
+    main(circle_args(algo=algo))
+    match = SUMMARY.search(capsys.readouterr().out.strip())
+    assert match is not None
+    assert (match.group(2) is not None) == rounds
+    assert match.group(5) == failures
+    rows = (tmp_path / "curve.txt").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == int(match.group(1))
+
+
+@pytest.mark.parametrize("algo", ["pampac", "serial-pac", "natural"])
+def test_curve_holds_only_verified_points(circle_args, tmp_path, capsys, algo):
+    # The problem's on_accept hook breaks it before the start point is
+    # re-verified, so nothing may reach curve.txt.
+    argv = circle_args("--problem", "test_engine:corrupting_problem", algo=algo)
+    assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "algorithm" in out and "tree" in out and "serial" in out
+    assert out.startswith("0 points, ") and "EVALUATION_FAILURE" in out
+    assert (tmp_path / "curve.txt").read_text(encoding="utf-8") == ""
 
 
 def test_missing_params_file_is_a_usage_error(tmp_path, capsys):
@@ -112,6 +140,29 @@ def test_unconverged_start_is_a_runtime_error(tmp_path, capsys):
     )
     assert rc == 1
     assert "arctree:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["pampac", "natural"])
+def test_non_finite_start_is_a_runtime_error(tmp_path, capsys, algo):
+    start = tmp_path / "start.txt"
+    start.write_text("nan 0\n", encoding="utf-8")
+    rc = main(
+        [
+            "--params", str(data_path("circle.params")),
+            "--initial-point", str(start),
+            "--outdir", str(tmp_path),
+            "--algo", algo,
+        ]
+    )
+    assert rc == 1
+    assert "arctree:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_is_a_usage_error(circle_args, tmp_path, capsys, workers):
+    assert main(circle_args("--workers", workers)) == 2
+    assert "arctree: --workers" in capsys.readouterr().err
+    assert not (tmp_path / "curve.txt").exists()
 
 
 def test_unknown_problem_plugin_is_rejected(circle_args, capsys):

@@ -16,11 +16,13 @@ from arctree import (
     circle_problem,
     corrector_round,
     make_root,
+    natural_continuation,
     prune_tree,
     run_continuation,
     serial_pac,
     spawn_round,
 )
+from arctree.engine import correct
 from arctree.problem import bordered_newton_step
 from arctree.tree import count_nodes, iter_nodes
 from conftest import make_node, make_params
@@ -402,7 +404,8 @@ def test_all_black_rounds_shrink_base_step_to_underflow():
     assert 10 < result.rounds_executed < 25
 
 
-def test_emission_reverification_failure():
+def corrupting_problem() -> ProblemDefinition:
+    """The unit circle, knocked off its own curve by its on_accept hook."""
     offset = [0.0]
 
     def residual(z):
@@ -411,14 +414,44 @@ def test_emission_reverification_failure():
     def jacobian(z):
         return np.array([[2.0 * z[0], 2.0 * z[1]]])
 
-    problem = ProblemDefinition(
-        n_dim=2, lambda_index=1, residual=residual, jacobian=jacobian
+    def corrupt(z):
+        offset[0] = 1.0  # runs before re-verification
+
+    return ProblemDefinition(
+        n_dim=2, lambda_index=1, residual=residual, jacobian=jacobian,
+        on_accept=corrupt,
     )
 
-    def sink(point):
-        offset[0] = 1.0  # corrupt the problem before re-verification
 
+def test_emission_reverification_failure():
     params = make_params()
-    result = run_continuation(problem, params, Z0, sink=sink)
+    result = run_continuation(corrupting_problem(), params, Z0)
     assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
     assert result.accepted_points == []
+
+
+@pytest.mark.parametrize(
+    "algorithm", [run_continuation, serial_pac, natural_continuation]
+)
+def test_sink_sees_only_verified_points(algorithm):
+    seen = []
+    result = algorithm(corrupting_problem(), make_params(), Z0, sink=seen.append)
+    assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
+    assert seen == result.accepted_points == []
+
+
+def test_correct_counts_steps_up_to_a_non_finite_residual():
+    # The stepper lands every iterate where the residual is NaN, so the
+    # first step completes and its residual check fails.
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([np.nan if z[0] > 5.0 else z[0] - z[1]]),
+        corrector=lambda zeta, tangent, z_base, h: np.array([10.0, h]),
+    )
+    axis = np.array([0.0, 1.0])
+    point, steps = correct(problem, np.zeros(2), axis, np.zeros(2), 0.1, make_params())
+    assert point is None
+    assert steps == 1
+    with pytest.raises(BootstrapError):
+        bootstrap(problem, make_params(), np.zeros(2))

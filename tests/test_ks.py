@@ -1,21 +1,24 @@
 """Spectral travelling-wave problem: operators, residual, symmetry, data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from arctree import (
     KsConfig,
+    data_path,
     grid,
     ks_jacobian,
     ks_problem,
     ks_residual,
-    ks_sink,
     load_ks_fixture,
+    natural_continuation,
+    parse_parameters,
     reflect_profile,
     reflect_state,
     spectral_operators,
 )
-from arctree.problem import CurvePoint
 
 
 def make_state(config, w, c=0.0, lam=0.3):
@@ -180,12 +183,23 @@ def test_config_copies_its_reference():
     assert config.reference_profile[0] == 1.0
 
 
-def test_sink_refreshes_the_phase_anchor():
+def test_on_accept_refreshes_the_phase_anchor():
     config = KsConfig(n_grid=32)
-    refresh = ks_sink(config)
-    z = make_state(config, np.full(32, 2.5))
-    refresh(CurvePoint(z=z, residual_norm=0.0))
+    problem = ks_problem(config)
+    problem.on_accept(make_state(config, np.full(32, 2.5)))
     assert config.reference_profile == pytest.approx(np.full(32, 2.5))
+
+
+def test_natural_continuation_reanchors_the_phase():
+    z0, config = load_ks_fixture()
+    # The packaged H_MIN suits arclength steps; natural steps are DELTA_LAMBDA.
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")), h_min=1e-6, round_limit=3
+    )
+    trace = natural_continuation(ks_problem(config), params, z0)
+    assert len(trace.accepted_points) > 1
+    last = trace.accepted_points[-1].z
+    assert np.array_equal(config.reference_profile, last[: config.n_grid])
 
 
 def test_packaged_fixture_converges():
