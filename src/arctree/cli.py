@@ -5,7 +5,7 @@ continuation algorithm, and streams accepted points to
 ``<outdir>/curve.txt`` (one point per line, 17 significant digits).
 Exit status is 0 when the run swept the parameter to its window edge,
 2 for usage errors or unreadable inputs, 1 for runs that stopped for
-any other reason.
+any other reason.  The run holds BLAS to one thread (see ``blas``).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .baselines import natural_continuation, serial_pac
+from .blas import one_blas_thread
 from .engine import BootstrapError, TerminationReason, run_continuation
 from .fileio import parse_parameters, read_initial_point, write_curve_point
 from .params import ParameterError, RunParams
@@ -157,7 +158,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        with open(outdir / "curve.txt", "w", encoding="utf-8") as fh:
+        with (
+            one_blas_thread(),
+            open(outdir / "curve.txt", "w", encoding="utf-8") as fh,
+        ):
 
             def writer(point: CurvePoint) -> None:
                 write_curve_point(fh, point.z)
