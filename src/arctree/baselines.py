@@ -20,9 +20,11 @@ from .engine import (
     correct,
     emit_point,
     start_point,
+    stop_reason,
 )
 from .params import RunParams
 from .problem import Array, CurvePoint, EvaluationError, ProblemDefinition
+from .tree import unit_secant
 
 
 @dataclass
@@ -31,11 +33,6 @@ class SerialTrace:
     corrector_steps_total: int
     failed_predictors: int
     termination_reason: TerminationReason
-
-
-def _window_exit(problem: ProblemDefinition, params: RunParams, z: Array) -> bool:
-    lam = float(z[problem.lambda_index])
-    return lam >= params.lambda_max or lam <= params.lambda_min
 
 
 def natural_continuation(
@@ -48,31 +45,31 @@ def natural_continuation(
 
     The corrector direction is the parameter axis, so each step is a
     plain Newton solve at fixed parameter shift.  The step is halved on
-    failure and never grown.  This baseline cannot pass a fold: the
-    Jacobian in the state variables becomes singular there, steps shrink,
-    and the run ends in STEP_UNDERFLOW.  Accepted points, the start
-    included, are emitted through emit_point as in the tree engine.
+    failure and never grown.  It may shrink by the factor |h_init| / h_min
+    that the arclength methods may shrink theirs by, so stop_reason sees
+    it scaled by |h_init / delta_lambda|.  This baseline cannot pass a
+    fold: the Jacobian in the state variables becomes singular there,
+    steps shrink, and the run ends in STEP_UNDERFLOW.  Accepted points,
+    the start included, are emitted through emit_point as in the tree
+    engine.
     """
     point = start_point(problem, params, initial_point)
     accepted: list[CurvePoint] = []
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     h = params.delta_lambda
+    to_arclength = abs(params.h_init / params.delta_lambda)
     steps = 0
     failures = 0
-    reason = TerminationReason.ITERATION_BUDGET
     attempts = 0
     try:
         emit_point(problem, params, point, accepted, sink)
         z = point.z
-        while attempts < params.round_limit:
+        while True:
+            reason = stop_reason(problem, params, z, h * to_arclength, attempts)
+            if reason is not None:
+                break
             attempts += 1
-            if _window_exit(problem, params, z):
-                reason = TerminationReason.REACHED_LAMBDA_MAX
-                break
-            if abs(h) < params.h_min:
-                reason = TerminationReason.STEP_UNDERFLOW
-                break
             point, taken = correct(problem, z + h * axis, axis, z, h, params)
             steps += taken
             if point is None:
@@ -98,39 +95,33 @@ def serial_pac(
     Each attempt predicts along the unit secant of the last two points
     and runs up to max_iter corrector iterations on the bordered system.
     On success the step doubles (capped at h_max) unless step_growth is
-    off; on failure it halves.  The run ends when the parameter leaves
-    its window, the step underflows h_min, the attempt limit is hit, or
-    an accepted point fails re-verification.  Accepted points, the start
-    included, are emitted through emit_point as in the tree engine.
+    off; on failure it halves.  The run ends by stop_reason on the last
+    point, the step and the attempts made, or when an accepted point
+    fails re-verification.  Accepted points, the start included, are
+    emitted through emit_point as in the tree engine.
     """
     point0, tangent = bootstrap(problem, params, initial_point)
     accepted: list[CurvePoint] = []
     h = abs(params.h_init)
     steps = 0
     failures = 0
-    reason = TerminationReason.ITERATION_BUDGET
     attempts = 0
     try:
         emit_point(problem, params, point0, accepted, sink)
         z = point0.z
-        while attempts < params.round_limit:
+        while True:
+            reason = stop_reason(problem, params, z, h, attempts)
+            if reason is not None:
+                break
             attempts += 1
-            if _window_exit(problem, params, z):
-                reason = TerminationReason.REACHED_LAMBDA_MAX
-                break
-            if h < params.h_min:
-                reason = TerminationReason.STEP_UNDERFLOW
-                break
             point, taken = correct(problem, z + h * tangent, tangent, z, h, params)
             steps += taken
             if point is None:
                 failures += 1
                 h *= 0.5
                 continue
-            secant = point.z - z
-            norm = float(np.linalg.norm(secant))
-            if norm >= 1e-14:
-                new_tangent = secant / norm
+            new_tangent = unit_secant(z, point.z)
+            if new_tangent is not None:
                 # The arclength constraint makes the secant's component
                 # along the old tangent equal +h, so this flip only fires
                 # for custom correctors that drop that constraint.

@@ -156,6 +156,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ImportError, AttributeError, ValueError) as exc:
         print(f"arctree: {exc}", file=sys.stderr)
         return 2
+    for key, ours, theirs in (
+        ("N_DIM", problem.n_dim, params.n_dim),
+        ("LAMBDA_INDEX", problem.lambda_index, params.lambda_index),
+    ):
+        if ours != theirs:
+            print(
+                f"arctree: problem {args.problem} has {key} {ours}, "
+                f"parameter file says {key} {theirs}",
+                file=sys.stderr,
+            )
+            return 2
 
     try:
         with (

@@ -32,19 +32,18 @@ from .problem import (
     EvaluationError,
     ProblemDefinition,
     corrector_step,
-    evaluate_residual,
     residual_norm,
 )
 from .tree import (
     Color,
-    DegenerateSecantError,
     TreeNode,
     assign_color,
     breadth_first_leaves,
     iter_nodes,
-    node_depths,
     prune_tree,
     secant_direction,
+    unfinished_nodes,
+    unit_secant,
 )
 
 
@@ -107,6 +106,29 @@ class WorkerPool:
         if self._executor is None or len(tasks) <= 1:
             return [call(task) for task in tasks]
         return list(self._executor.map(call, tasks))
+
+
+def stop_reason(
+    problem: ProblemDefinition,
+    params: RunParams,
+    z: Array,
+    h: float,
+    count: int,
+) -> TerminationReason | None:
+    """Why a run stops at point z with step h after count rounds, or None.
+
+    The one stop rule of the tree engine and both baselines, checked in
+    this order: the parameter has left [lambda_min, lambda_max], the step
+    magnitude is below h_min, count has reached the round limit.
+    """
+    lam = float(z[problem.lambda_index])
+    if lam >= params.lambda_max or lam <= params.lambda_min:
+        return TerminationReason.REACHED_LAMBDA_MAX
+    if abs(h) < params.h_min:
+        return TerminationReason.STEP_UNDERFLOW
+    if count >= params.round_limit:
+        return TerminationReason.ITERATION_BUDGET
+    return None
 
 
 def start_point(
@@ -209,11 +231,9 @@ def bootstrap(
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
         )
-    secant = neighbor.z - z0
-    norm = float(np.linalg.norm(secant))
-    if norm < 1e-14:
+    direction = unit_secant(z0, neighbor.z)
+    if direction is None:
         raise BootstrapError("bootstrap secant is degenerate")
-    direction = secant / norm
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
         direction = -direction
     return point0, direction
@@ -254,20 +274,13 @@ def spawn_round(
     """
     if budget <= 0:
         return 0
-    depths = node_depths(root)
     spawned = 0
-    for leaf in breadth_first_leaves(root):
+    for leaf, depth in breadth_first_leaves(root):
         if spawned >= budget:
             break
-        if depths[leaf] >= params.max_depth:
+        if depth >= params.max_depth:
             continue
-        if leaf is root:
-            direction = leaf.t_init
-        else:
-            try:
-                direction = secant_direction(leaf)
-            except DegenerateSecantError:
-                direction = leaf.t_init
+        direction = leaf.t_init if leaf is root else secant_direction(leaf)
         for scale in sorted(params.scalings):
             if spawned >= budget:
                 break
@@ -303,7 +316,7 @@ def _step_task(
     h: float,
 ) -> tuple[Array, float]:
     new_zeta = corrector_step(problem, zeta, tangent, z_base, h)
-    return new_zeta, float(np.linalg.norm(evaluate_residual(problem, new_zeta)))
+    return new_zeta, residual_norm(problem, new_zeta)
 
 
 def corrector_round(
@@ -320,9 +333,7 @@ def corrector_round(
     iteration count increments, and the node is recolored.  A failed step
     turns the node BLACK.  Returns the number of steps executed.
     """
-    targets = [
-        n for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
-    ]
+    targets = unfinished_nodes(root)
     tasks = [
         (problem, n.zeta, n.t_init, n.z_init, n.h_init) for n in targets
     ]
@@ -354,19 +365,10 @@ def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
         child = root.children[0]
         emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         root.children = []
-        try:
-            child.t_init = secant_direction(child)
-        except DegenerateSecantError:
-            pass
+        child.t_init = secant_direction(child)
         root = child
         emitted += 1
     return root, emitted
-
-
-def _active_count(root: TreeNode) -> int:
-    return sum(
-        1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
-    )
 
 
 def run_continuation(
@@ -381,11 +383,11 @@ def run_continuation(
 
     Each round: spawn within the free worker budget, apply one corrector
     iteration to all unfinished nodes, write the tree snapshot when
-    verbose is at least 2, prune, advance the root.  Stops when the
-    root's parameter leaves [lambda_min, lambda_max], when the root's
-    base step underflows h_min, or when the round limit is hit.  Points
-    are emitted through emit_point, so the sink sees only re-verified
-    points; the final root is emitted at termination.
+    verbose is at least 2, prune, advance the root.  Stops by stop_reason
+    on the root's point, its base step and the rounds executed, or when a
+    round can change nothing.  Points are emitted through emit_point, so
+    the sink sees only re-verified points; the final root is emitted at
+    termination.
     """
     point0, direction = bootstrap(problem, params, initial_point)
     root = make_root(point0, direction, params)
@@ -395,27 +397,18 @@ def run_continuation(
     def emit(point: CurvePoint) -> None:
         emit_point(problem, params, point, accepted, sink)
 
-    def crossed(node: TreeNode) -> bool:
-        lam = float(node.zeta[problem.lambda_index])
-        return lam >= params.lambda_max or lam <= params.lambda_min
-
     rounds = 0
     steps_total = 0
     nodes_failed = 0
-    reason = TerminationReason.ITERATION_BUDGET
     try:
         with WorkerPool(n_workers) as pool:
             while True:
-                if abs(root.h_base) < params.h_min:
-                    reason = TerminationReason.STEP_UNDERFLOW
+                reason = stop_reason(
+                    problem, params, root.zeta, root.h_base, rounds
+                )
+                if reason is not None:
                     break
-                if crossed(root):
-                    reason = TerminationReason.REACHED_LAMBDA_MAX
-                    break
-                if rounds >= params.round_limit:
-                    reason = TerminationReason.ITERATION_BUDGET
-                    break
-                free = params.worker_budget - _active_count(root)
+                free = params.worker_budget - len(unfinished_nodes(root))
                 spawned = spawn_round(root, problem, params, free)
                 steps = corrector_round(root, problem, params, pool)
                 steps_total += steps

@@ -44,10 +44,6 @@ class Color(Enum):
     BLACK = "black"
 
 
-class DegenerateSecantError(ValueError):
-    """Corrector displacement too short to define a direction."""
-
-
 @dataclass(eq=False)
 class TreeNode:
     """State of one speculative corrector sequence.
@@ -115,17 +111,23 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
     return Color.RED
 
 
+def unit_secant(a: Array, b: Array) -> Array | None:
+    """Unit vector from a to b, or None when ||b - a|| < SECANT_FLOOR."""
+    d = b - a
+    norm = float(np.linalg.norm(d))
+    if norm < SECANT_FLOOR:
+        return None
+    return d / norm
+
+
 def secant_direction(node: TreeNode) -> Array:
     """Unit direction from the node's seed point to its current iterate.
 
-    Raises DegenerateSecantError when the displacement norm is below
-    SECANT_FLOOR; callers fall back to the node's seed direction.
+    Falls back to the node's seed direction t_init when the displacement
+    is too short to define one.
     """
-    d = node.zeta - node.z_init
-    norm = float(np.linalg.norm(d))
-    if norm < SECANT_FLOOR:
-        raise DegenerateSecantError("corrector displacement is numerically zero")
-    return d / norm
+    secant = unit_secant(node.z_init, node.zeta)
+    return node.t_init if secant is None else secant
 
 
 def iter_nodes(root: TreeNode):
@@ -137,27 +139,20 @@ def iter_nodes(root: TreeNode):
         stack.extend(reversed(node.children))
 
 
-def node_depths(root: TreeNode) -> dict[TreeNode, int]:
-    """Depth of every node, root at depth 0."""
-    depths = {root: 0}
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
-        for child in node.children:
-            depths[child] = depths[node] + 1
-            queue.append(child)
-    return depths
+def unfinished_nodes(root: TreeNode) -> list[TreeNode]:
+    """RED and YELLOW nodes in traversal order: those a round still steps."""
+    return [n for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)]
 
 
-def breadth_first_leaves(root: TreeNode) -> list[TreeNode]:
-    """Leaves in breadth-first order, used to schedule spawning."""
+def breadth_first_leaves(root: TreeNode) -> list[tuple[TreeNode, int]]:
+    """(leaf, depth) pairs in breadth-first order, root at depth 0."""
     leaves = []
-    queue = [root]
+    queue = [(root, 0)]
     while queue:
-        node = queue.pop(0)
+        node, depth = queue.pop(0)
         if not node.children:
-            leaves.append(node)
-        queue.extend(node.children)
+            leaves.append((node, depth))
+        queue.extend((child, depth + 1) for child in node.children)
     return leaves
 
 

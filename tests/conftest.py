@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from arctree import Color, RunParams, TreeNode
+from arctree import RunParams
+from arctree.tree import Color, TreeNode
 
 
 def make_params(**overrides) -> RunParams:

@@ -15,35 +15,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctree import (
-    Color,
     KsConfig,
-    PathMetrics,
     TerminationReason,
-    WorkerPool,
-    bootstrap,
-    choose_best_path,
     circle_problem,
-    compute_paths,
-    corrector_round,
     data_path,
     export_dot,
-    ks_jacobian,
     ks_problem,
-    ks_residual,
     load_ks_fixture,
-    make_root,
     natural_continuation,
     parse_parameters,
-    prune_tree,
     read_curve,
     run_continuation,
     serial_pac,
-    spawn_round,
     write_curve,
     write_parameters,
 )
 from arctree.cli import main as cli_main
-from arctree.tree import assign_color, count_nodes, iter_nodes
+from arctree.engine import (
+    WorkerPool,
+    bootstrap,
+    corrector_round,
+    make_root,
+    spawn_round,
+)
+from arctree.problems import ks_jacobian, ks_residual
+from arctree.tree import (
+    Color,
+    PathMetrics,
+    assign_color,
+    choose_best_path,
+    compute_paths,
+    count_nodes,
+    iter_nodes,
+    prune_tree,
+)
 from conftest import build_prune_fixture, make_node, make_params
 from test_engine import slow_params, slow_problem
 from test_fileio import finite, run_params

@@ -3,11 +3,12 @@
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from arctree import data_path, read_curve
+from arctree import circle_problem, data_path, read_curve
 from arctree.cli import main
 
 
@@ -168,6 +169,29 @@ def test_workers_below_one_is_a_usage_error(circle_args, tmp_path, capsys, worke
 def test_unknown_problem_plugin_is_rejected(circle_args, capsys):
     assert main(circle_args("--problem", "no.such.module:thing")) == 2
     assert "arctree:" in capsys.readouterr().err
+
+
+def circle_in_three_dims():
+    """The circle claiming N_DIM 3 (circle.params says 2)."""
+    return replace(circle_problem(), n_dim=3)
+
+
+def circle_over_x():
+    """The circle with x as its parameter (circle.params says index 1)."""
+    return replace(circle_problem(), lambda_index=0)
+
+
+@pytest.mark.parametrize(
+    "plugin,key",
+    [("circle_in_three_dims", "N_DIM"), ("circle_over_x", "LAMBDA_INDEX")],
+)
+def test_problem_disagreeing_with_params_is_a_usage_error(
+    circle_args, tmp_path, capsys, plugin, key
+):
+    assert main(circle_args("--problem", f"test_cli:{plugin}")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arctree: ") and key in err
+    assert not (tmp_path / "curve.txt").exists()
 
 
 def test_problem_plugin_via_module_attr(circle_args, tmp_path):

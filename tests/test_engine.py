@@ -1,31 +1,38 @@
 """Bootstrap, spawning, corrector rounds, root advancement, main loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from arctree import (
     BootstrapError,
-    Color,
     CorrectorFailure,
     EvaluationError,
     ProblemDefinition,
     TerminationReason,
+    circle_problem,
+    data_path,
+    natural_continuation,
+    parse_parameters,
+    read_initial_point,
+    run_continuation,
+    serial_pac,
+)
+from arctree.engine import (
     WorkerPool,
     advance_root,
     bootstrap,
-    circle_problem,
+    correct,
     corrector_round,
     make_root,
-    natural_continuation,
-    prune_tree,
-    run_continuation,
-    serial_pac,
     spawn_round,
+    stop_reason,
 )
-from arctree.engine import correct
 from arctree.problem import bordered_newton_step
-from arctree.tree import count_nodes, iter_nodes
+from arctree.tree import Color, count_nodes, iter_nodes, prune_tree
 from conftest import make_node, make_params
+from test_baselines import linear_problem
 
 Z0 = np.array([1.0, 0.0])
 
@@ -353,6 +360,57 @@ def test_round_limit_reached_on_closed_curve():
     result = run_continuation(circle_problem(), params, Z0)
     assert result.termination_reason is TerminationReason.ITERATION_BUDGET
     assert result.rounds_executed == 30
+
+
+def test_stop_reason_order():
+    problem, params = circle_problem(), make_params(round_limit=5)
+    inside, outside = np.array([0.0, 1.0]), np.array([0.0, 1.5])
+    assert stop_reason(problem, params, inside, 0.1, 4) is None
+    # the window wins over the step floor, which wins over the budget
+    for z, h, count, reason in [
+        (outside, 1e-9, 5, TerminationReason.REACHED_LAMBDA_MAX),
+        (inside, -1e-9, 5, TerminationReason.STEP_UNDERFLOW),
+        (inside, -0.1, 5, TerminationReason.ITERATION_BUDGET),
+    ]:
+        assert stop_reason(problem, params, z, h, count) is reason
+
+
+def _run_counted(algorithm, problem, params, z0):
+    """Run one algorithm; also return the rounds or attempts it used."""
+    result = algorithm(problem, params, z0)
+    if algorithm is run_continuation:
+        return result, result.rounds_executed
+    used = len(result.accepted_points) - 1 + result.failed_predictors
+    return result, used
+
+
+@pytest.mark.parametrize(
+    "algorithm", [run_continuation, serial_pac, natural_continuation]
+)
+def test_window_wins_when_the_round_limit_runs_out_on_the_exit(algorithm):
+    if algorithm is natural_continuation:
+        # natural continuation cannot leave the circle's window
+        problem = linear_problem()
+        params = make_params(delta_lambda=0.25, lambda_max=1.0)
+        z0 = np.zeros(2)
+    else:
+        problem = circle_problem()
+        params = parse_parameters(data_path("circle.params"))
+        z0 = read_initial_point(data_path("circle_start.txt"))
+    free, used = _run_counted(algorithm, problem, params, z0)
+    assert free.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    # the last round or attempt allowed is the one that leaves the window
+    edge, _ = _run_counted(
+        algorithm, problem, replace(params, round_limit=used), z0
+    )
+    assert edge.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    assert np.array_equal(
+        [p.z for p in edge.accepted_points], [p.z for p in free.accepted_points]
+    )
+    short, _ = _run_counted(
+        algorithm, problem, replace(params, round_limit=used - 1), z0
+    )
+    assert short.termination_reason is TerminationReason.ITERATION_BUDGET
 
 
 def test_dead_state_breaks_early():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctree import (
-    Color,
     ParameterError,
     RunParams,
     export_dot,
@@ -18,6 +17,7 @@ from arctree import (
     write_curve,
     write_parameters,
 )
+from arctree.tree import Color
 from conftest import make_node, make_params
 
 finite = st.floats(

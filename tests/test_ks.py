@@ -7,14 +7,17 @@ import pytest
 
 from arctree import (
     KsConfig,
+    TerminationReason,
     data_path,
-    grid,
-    ks_jacobian,
     ks_problem,
-    ks_residual,
     load_ks_fixture,
     natural_continuation,
     parse_parameters,
+)
+from arctree.problems import (
+    grid,
+    ks_jacobian,
+    ks_residual,
     reflect_profile,
     reflect_state,
     spectral_operators,
@@ -190,12 +193,21 @@ def test_on_accept_refreshes_the_phase_anchor():
     assert config.reference_profile == pytest.approx(np.full(32, 2.5))
 
 
+def test_natural_continuation_steps_on_the_packaged_params():
+    # |DELTA_LAMBDA| 1e-4 is below H_MIN 0.01; natural continuation's floor
+    # is H_MIN scaled by |DELTA_LAMBDA / H_INIT|, so it still steps.
+    z0, config = load_ks_fixture()
+    params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=3)
+    trace = natural_continuation(ks_problem(config), params, z0)
+    assert trace.termination_reason is TerminationReason.ITERATION_BUDGET
+    assert trace.failed_predictors == 0
+    lams = [p.z[config.lambda_index] for p in trace.accepted_points]
+    assert lams == pytest.approx([0.1828, 0.1827, 0.1826, 0.1825])
+
+
 def test_natural_continuation_reanchors_the_phase():
     z0, config = load_ks_fixture()
-    # The packaged H_MIN suits arclength steps; natural steps are DELTA_LAMBDA.
-    params = replace(
-        parse_parameters(data_path("ks_n128.params")), h_min=1e-6, round_limit=3
-    )
+    params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=3)
     trace = natural_continuation(ks_problem(config), params, z0)
     assert len(trace.accepted_points) > 1
     last = trace.accepted_points[-1].z

@@ -2,7 +2,8 @@
 
 import pytest
 
-from arctree import ParameterError, default_worker_budget
+from arctree import ParameterError
+from arctree.params import default_worker_budget
 from conftest import make_params
 
 

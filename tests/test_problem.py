@@ -8,11 +8,13 @@ from arctree import (
     EvaluationError,
     ProblemDefinition,
     circle_problem,
+)
+from arctree.problem import (
+    bordered_newton_step,
     corrector_step,
     evaluate_residual,
     residual_norm,
 )
-from arctree.problem import bordered_newton_step
 
 
 def test_problem_definition_validation():

@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arctree import (
+from arctree.tree import (
     Color,
     PathMetrics,
     TreeNode,
     assign_color,
+    breadth_first_leaves,
     choose_best_path,
     compute_paths,
     count_nodes,
+    iter_nodes,
     prune_tree,
     reduce_base_step,
     secant_direction,
+    unit_secant,
 )
-from arctree.tree import DegenerateSecantError, iter_nodes
 from conftest import build_prune_fixture, make_node, make_params
 
 
@@ -98,9 +100,23 @@ def test_secant_direction_normalizes():
 
 
 def test_secant_direction_degenerate():
+    # zeta == z_init: no secant, so the seed direction is used again
     node = make_node(Color.GREEN, nu=1, h_init=1.0)
-    with pytest.raises(DegenerateSecantError):
-        secant_direction(node)
+    node.t_init = np.array([0.6, -0.8])
+    assert unit_secant(node.z_init, node.zeta) is None
+    assert secant_direction(node) is node.t_init
+
+
+def test_breadth_first_leaves_carry_their_depth():
+    root = make_node(Color.GREEN, nu=0, h_init=1.0)
+    inner = make_node(Color.RED, nu=1, h_init=1.0)
+    leaf1, leaf2, leaf3 = (
+        make_node(Color.RED, nu=0, h_init=1.0) for _ in range(3)
+    )
+    inner.children = [leaf2, leaf3]
+    root.children = [inner, leaf1]
+    assert breadth_first_leaves(root) == [(leaf1, 1), (leaf2, 2), (leaf3, 2)]
+    assert breadth_first_leaves(leaf1) == [(leaf1, 0)]
 
 
 def test_reduce_base_step_factor():
