@@ -168,10 +168,14 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
+    curve_path = outdir / "curve.txt"
+    # A fresh file: truncating one written moments before first waits for
+    # the filesystem to flush its pages, which can take tens of ms.
+    curve_path.unlink(missing_ok=True)
     try:
         with (
             one_blas_thread(),
-            open(outdir / "curve.txt", "w", encoding="utf-8") as fh,
+            open(curve_path, "w", encoding="utf-8") as fh,
         ):
 
             def writer(point: CurvePoint) -> None:

@@ -32,6 +32,7 @@ from .problem import (
     EvaluationError,
     ProblemDefinition,
     corrector_step,
+    evaluate_residual,
     residual_norm,
 )
 from .tree import (
@@ -164,14 +165,17 @@ def correct(
 
     Returns the converged point, or None when max_iter steps do not
     converge or a step or residual evaluation fails, together with the
-    number of corrector steps completed.
+    number of corrector steps completed.  The residual evaluated after
+    each step is handed to the next one.
     """
     steps = 0
+    f = None
     try:
         for _ in range(params.max_iter):
-            zeta = corrector_step(problem, zeta, tangent, z_base, h)
+            zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
             steps += 1
-            r = residual_norm(problem, zeta)
+            f = evaluate_residual(problem, zeta)
+            r = float(np.linalg.norm(f))
             if r <= params.tol_residual:
                 return CurvePoint(zeta, r), steps
     except (CorrectorFailure, EvaluationError):
@@ -269,8 +273,8 @@ def spawn_round(
     secant is degenerate).  Children whose step magnitude would exceed
     h_max are skipped.  Spawning stops when the budget is exhausted.
     Returns the number of children created.  Each child's residual is
-    evaluated at its predicted point; a non-finite predictor marks the
-    child BLACK immediately.
+    evaluated at its predicted point and kept for its first corrector
+    step; a non-finite predictor marks the child BLACK immediately.
     """
     if budget <= 0:
         return 0
@@ -299,7 +303,8 @@ def spawn_round(
                 color=Color.RED,
             )
             try:
-                child.residual_norm_current = residual_norm(problem, zeta0)
+                child.residual = evaluate_residual(problem, zeta0)
+                child.residual_norm_current = float(np.linalg.norm(child.residual))
             except EvaluationError:
                 child.residual_norm_current = math.inf
                 child.color = Color.BLACK
@@ -314,9 +319,10 @@ def _step_task(
     tangent: Array,
     z_base: Array,
     h: float,
-) -> tuple[Array, float]:
-    new_zeta = corrector_step(problem, zeta, tangent, z_base, h)
-    return new_zeta, residual_norm(problem, new_zeta)
+    f: Array | None,
+) -> tuple[Array, Array]:
+    new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
+    return new_zeta, evaluate_residual(problem, new_zeta)
 
 
 def corrector_round(
@@ -329,24 +335,26 @@ def corrector_round(
 
     All RED and YELLOW nodes receive exactly one corrector step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
-    Results are applied in traversal order: residual history shifts, the
-    iteration count increments, and the node is recolored.  A failed step
-    turns the node BLACK.  Returns the number of steps executed.
+    Each step starts from the node's carried residual and leaves the
+    residual at its new iterate on the node.  Results are applied in
+    traversal order: residual history shifts, the iteration count
+    increments, and the node is recolored.  A failed step turns the node
+    BLACK.  Returns the number of steps executed.
     """
     targets = unfinished_nodes(root)
     tasks = [
-        (problem, n.zeta, n.t_init, n.z_init, n.h_init) for n in targets
+        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual)
+        for n in targets
     ]
     outcomes = pool.map(_step_task, tasks)
     for node, (ok, payload) in zip(targets, outcomes):
         if not ok:
             node.color = Color.BLACK
             continue
-        new_zeta, r_norm = payload
-        node.zeta = new_zeta
+        node.zeta, node.residual = payload
         node.nu += 1
         node.residual_norm_previous = node.residual_norm_current
-        node.residual_norm_current = r_norm
+        node.residual_norm_current = float(np.linalg.norm(node.residual))
         node.color = assign_color(node, params)
     return len(targets)
 
@@ -387,7 +395,8 @@ def run_continuation(
     on the root's point, its base step and the rounds executed, or when a
     round can change nothing.  Points are emitted through emit_point, so
     the sink sees only re-verified points; the final root is emitted at
-    termination.
+    termination.  An on_accept hook may change the residual, so after it
+    has run the residuals carried on the nodes are dropped.
     """
     point0, direction = bootstrap(problem, params, initial_point)
     root = make_root(point0, direction, params)
@@ -420,6 +429,9 @@ def run_continuation(
                 )
                 prune_tree(root, params)
                 root, emitted = advance_root(root, emit)
+                if emitted and problem.on_accept is not None:
+                    for node in iter_nodes(root):
+                        node.residual = None
                 if params.verbose >= 1 and emitted:
                     lam = float(root.zeta[problem.lambda_index])
                     print(

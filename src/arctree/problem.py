@@ -12,12 +12,12 @@ Jacobian alone is singular.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 Array = np.ndarray
 
@@ -103,12 +103,31 @@ def residual_norm(problem: ProblemDefinition, z: Array) -> float:
     return float(np.linalg.norm(evaluate_residual(problem, z)))
 
 
+def lu_factor(matrix: Array) -> tuple[Array, Array]:
+    """LU factors of a square Fortran-order float matrix, overwriting it.
+
+    LAPACK getrf with partial pivoting, the routine behind
+    scipy.linalg.lu_factor; an exactly zero pivot is left for the caller
+    to judge.
+    """
+    lu, piv, _ = dgetrf(matrix, overwrite_a=True)
+    return lu, piv
+
+
+def lu_solve(factors: tuple[Array, Array], rhs: Array) -> Array:
+    """Solve with the factors from lu_factor, overwriting rhs (getrs)."""
+    lu, piv = factors
+    x, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
+    return x
+
+
 def bordered_newton_step(
     problem: ProblemDefinition,
     zeta: Array,
     tangent: Array,
     z_base: Array,
     h: float,
+    f: Array | None = None,
 ) -> Array:
     """One Newton iteration on the corrector system.
 
@@ -119,41 +138,45 @@ def bordered_newton_step(
 
     and returns zeta + d.  The constraint row keeps the iterate on the
     hyperplane at signed distance h from z_base along tangent, so the
-    update is well defined at folds.  Dense LU with partial pivoting; a
-    pivot below SINGULAR_PIVOT_RTOL times the largest row norm, or any
-    non-finite intermediate, raises CorrectorFailure.
+    update is well defined at folds.  f is F(zeta) when the caller
+    already holds it, as returned by evaluate_residual; None evaluates
+    it here.  Dense LU with partial pivoting; a pivot below
+    SINGULAR_PIVOT_RTOL times the largest row norm, or any non-finite
+    intermediate, raises CorrectorFailure.
     """
     if problem.jacobian is None:
         raise ValueError("bordered_newton_step requires problem.jacobian")
     zeta = np.asarray(zeta, dtype=float)
-    try:
-        f = evaluate_residual(problem, zeta)
-    except EvaluationError as exc:
-        raise CorrectorFailure(str(exc)) from exc
+    if f is None:
+        try:
+            f = evaluate_residual(problem, zeta)
+        except EvaluationError as exc:
+            raise CorrectorFailure(str(exc)) from exc
+    n = problem.n_dim
     jac = np.asarray(problem.jacobian(zeta), dtype=float)
-    if jac.shape != (problem.n_dim - 1, problem.n_dim):
+    if jac.shape != (n - 1, n):
         raise ValueError(
-            f"jacobian has shape {jac.shape}, expected "
-            f"({problem.n_dim - 1}, {problem.n_dim})"
+            f"jacobian has shape {jac.shape}, expected ({n - 1}, {n})"
         )
-    matrix = np.vstack([jac, np.asarray(tangent, dtype=float)])
+    matrix = np.empty((n, n), order="F")
+    matrix[:-1] = jac
+    matrix[-1] = tangent
     gap = h - float(np.dot(tangent, zeta - z_base))
-    rhs = np.concatenate([-f, [gap]])
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))):
+    # A NaN or infinite entry makes the largest absolute row sum non-finite.
+    row_scale = float(np.abs(matrix).sum(axis=1).max())
+    if not (math.isfinite(row_scale) and math.isfinite(gap)):
         raise CorrectorFailure("non-finite bordered system")
-    row_scale = float(np.max(np.sum(np.abs(matrix), axis=1)))
     if row_scale == 0.0:
         raise CorrectorFailure("zero bordered matrix")
-    with warnings.catch_warnings():
-        # scipy warns on exactly singular factors; the pivot check below
-        # owns that decision.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(matrix, check_finite=False)
-    if float(np.min(np.abs(np.diag(lu)))) < SINGULAR_PIVOT_RTOL * row_scale:
+    lu, piv = lu_factor(matrix)
+    if float(np.abs(lu.diagonal()).min()) < SINGULAR_PIVOT_RTOL * row_scale:
         raise CorrectorFailure("singular bordered system")
-    delta = lu_solve((lu, piv), rhs, check_finite=False)
-    out = zeta + delta
-    if not np.all(np.isfinite(out)):
+    rhs = np.empty(n)
+    np.negative(f, out=rhs[:-1])
+    rhs[-1] = gap
+    out = lu_solve((lu, piv), rhs)
+    out += zeta
+    if not np.isfinite(out).all():
         raise CorrectorFailure("non-finite corrector update")
     return out
 
@@ -164,15 +187,17 @@ def corrector_step(
     tangent: Array,
     z_base: Array,
     h: float,
+    f: Array | None = None,
 ) -> Array:
     """Apply one corrector iteration using the problem's stepper.
 
     Dispatches to the user-supplied corrector when present, otherwise to
-    the default bordered Newton step.  Non-finite output from a custom
-    stepper is mapped to CorrectorFailure.
+    the default bordered Newton step, which is handed f = F(zeta) when
+    the caller already holds it.  Non-finite output from a custom stepper
+    is mapped to CorrectorFailure.
     """
     if problem.corrector is None:
-        return bordered_newton_step(problem, zeta, tangent, z_base, h)
+        return bordered_newton_step(problem, zeta, tangent, z_base, h, f)
     out = np.asarray(problem.corrector(zeta, tangent, z_base, h), dtype=float)
     if out.shape != (problem.n_dim,):
         raise ValueError(

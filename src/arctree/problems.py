@@ -80,7 +80,24 @@ def spectral_operators(n: int) -> tuple[Array, Array, Array, Array]:
     d4 = back(k**4 + 0j)
     mask = (k <= n // 3).astype(float) + 0j
     dealias = back(mask)
-    return d1, d2, d4, dealias
+    operators = (d1, d2, d4, dealias)
+    for op in operators:
+        # Cached and shared by every later call: never to be written.
+        op.setflags(write=False)
+    return operators
+
+
+@lru_cache(maxsize=8)
+def stacked_derivatives(n: int) -> Array:
+    """D1, D2 and D4 flattened into the rows of one (3, n * n) array.
+
+    [a, b, c] @ stacked_derivatives(n) is a D1 + b D2 + c D4, flattened,
+    in one product.  Read-only, like the operators it is built from.
+    """
+    d1, d2, d4, _ = spectral_operators(n)
+    stacked = np.stack([d1, d2, d4]).reshape(3, n * n)
+    stacked.setflags(write=False)
+    return stacked
 
 
 def grid(n: int) -> Array:
@@ -154,27 +171,35 @@ def ks_jacobian(config: KsConfig, z: Array) -> Array:
     """Analytic Jacobian of ks_residual, shape (n + 1, n + 2).
 
     The matrix is dense because of the sin(w) term.  Columns are ordered
-    (w, c, lambda) to match the state layout.
+    (w, c, lambda) to match the state layout.  The state block is
+
+        -c D1 + dealias (diag(D1 w) + diag(w) D1) + D2 + lam D4
+            - A diag(cos w),
+
+    built with one product by the dealias projector and one by the
+    stacked derivative operators.
     """
     n = config.n_grid
-    d1, d2, d4, dealias = spectral_operators(n)
+    d1, _, d4, dealias = spectral_operators(n)
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
     d1w = d1 @ w
-    j_ww = (
-        -c * d1
-        + dealias @ (np.diag(d1w) + w[:, None] * d1)
-        + d2
-        + lam * d4
-        - config.amplitude * np.diag(np.cos(w))
-    )
-    j_wc = -d1w
-    j_wlam = d4 @ w
-    top = np.hstack([j_ww, j_wc[:, None], j_wlam[:, None]])
-    phase_row = np.zeros(n + 2)
-    phase_row[:n] = (d1 @ config.reference_profile) / n
-    return np.vstack([top, phase_row[None, :]])
+    # Diagonals are written through strided views of the flat buffers:
+    # every (n + 1)-th entry of quad, every (n + 3)-th of out.
+    quad = d1 * w[:, None]
+    quad.reshape(-1)[:: n + 1] += d1w
+    out = np.empty((n + 1, n + 2))
+    j_ww = out[:n, :n]
+    np.matmul(dealias, quad, out=j_ww)
+    j_ww += (np.array([-c, 1.0, lam]) @ stacked_derivatives(n)).reshape(n, n)
+    out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
+    np.negative(d1w, out=out[:n, n])
+    np.matmul(d4, w, out=out[:n, n + 1])
+    np.matmul(d1, config.reference_profile, out=out[n, :n])
+    out[n, :n] /= n
+    out[n, n:] = 0.0
+    return out
 
 
 def ks_problem(config: KsConfig) -> ProblemDefinition:

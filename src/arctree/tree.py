@@ -55,7 +55,8 @@ class TreeNode:
     node; nu_init records the parent's iteration count at spawn time.
     h_base is the adaptive base step scaled to seed this node's children
     and only shrinks when all of them diverge.  residual_norm_previous is
-    None exactly while nu == 0.
+    None exactly while nu == 0.  residual is F(zeta), kept for the next
+    corrector step, or None when it is unknown or stale.
     """
 
     zeta: Array
@@ -68,6 +69,7 @@ class TreeNode:
     color: Color = Color.RED
     residual_norm_current: float = math.inf
     residual_norm_previous: float | None = None
+    residual: Array | None = None
     children: list["TreeNode"] = field(default_factory=list)
 
 

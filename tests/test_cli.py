@@ -46,6 +46,15 @@ def test_serial_algo_also_traverses(circle_args, tmp_path):
     assert curve[:, 0].min() <= -0.9
 
 
+def test_second_run_replaces_the_curve(circle_args, tmp_path):
+    assert main(circle_args()) == 0
+    assert main(circle_args(algo="serial-pac")) == 0
+    fresh = tmp_path / "fresh"
+    assert main(circle_args("--outdir", str(fresh), algo="serial-pac")) == 0
+    second = (fresh / "curve.txt").read_bytes()
+    assert (tmp_path / "curve.txt").read_bytes() == second
+
+
 def test_natural_algo_stalls_with_nonzero_exit(circle_args, tmp_path, capsys):
     assert main(circle_args(algo="natural")) == 1
     assert "STEP_UNDERFLOW" in capsys.readouterr().out

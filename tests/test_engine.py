@@ -498,6 +498,37 @@ def test_sink_sees_only_verified_points(algorithm):
     assert seen == result.accepted_points == []
 
 
+def counting_circle():
+    inner = circle_problem()
+    calls = []
+
+    def residual(z):
+        calls.append(1)
+        return inner.residual(z)
+
+    problem = ProblemDefinition(
+        n_dim=2, lambda_index=1, residual=residual, jacobian=inner.jacobian
+    )
+    return problem, calls
+
+
+@pytest.mark.parametrize(
+    "algorithm,expected",
+    [
+        # 4 in bootstrap + 77 spawns + 149 steps + 24 emissions
+        (run_continuation, 254),
+        (serial_pac, 100),
+    ],
+)
+def test_one_residual_per_corrector_step(algorithm, expected):
+    problem, calls = counting_circle()
+    params = parse_parameters(data_path("circle.params"))
+    z0 = read_initial_point(data_path("circle_start.txt"))
+    result = algorithm(problem, params, z0)
+    assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    assert len(calls) == expected
+
+
 def test_correct_counts_steps_up_to_a_non_finite_residual():
     # The stepper lands every iterate where the residual is NaN, so the
     # first step completes and its residual check fails.

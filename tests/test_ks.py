@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import arctree.engine
 from arctree import (
     KsConfig,
     TerminationReason,
@@ -13,7 +14,9 @@ from arctree import (
     load_ks_fixture,
     natural_continuation,
     parse_parameters,
+    run_continuation,
 )
+from arctree.problem import evaluate_residual
 from arctree.problems import (
     grid,
     ks_jacobian,
@@ -21,6 +24,7 @@ from arctree.problems import (
     reflect_profile,
     reflect_state,
     spectral_operators,
+    stacked_derivatives,
 )
 
 
@@ -121,6 +125,72 @@ def test_phase_row_vanishes_at_the_reference():
     z2 = make_state(config, w + 1e-3 * direction)
     expected = 1e-3 * float(direction @ direction) / n
     assert ks_residual(config, z2)[n] == pytest.approx(expected, rel=1e-12)
+
+
+def test_operator_caches_are_read_only():
+    # An in-place write to a cached operator would corrupt every later call.
+    for op in (*spectral_operators(32), stacked_derivatives(32)):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op *= 2.0
+
+
+def dense_ks_jacobian(config, z):
+    """The Jacobian written out term by term, as the oracle for ks_jacobian."""
+    n = config.n_grid
+    d1, d2, d4, dealias = spectral_operators(n)
+    w, c, lam = z[:n], z[n], z[n + 1]
+    d1w = d1 @ w
+    j_ww = (
+        -c * d1
+        + dealias @ (np.diag(d1w) + w[:, None] * d1)
+        + d2
+        + lam * d4
+        - config.amplitude * np.diag(np.cos(w))
+    )
+    top = np.hstack([j_ww, -d1w[:, None], (d4 @ w)[:, None]])
+    phase_row = np.zeros(n + 2)
+    phase_row[:n] = (d1 @ config.reference_profile) / n
+    return np.vstack([top, phase_row[None, :]])
+
+
+def test_jacobian_matches_the_dense_formula():
+    z0, config = load_ks_fixture()
+    rng = np.random.default_rng(5)
+    config.reference_profile = z0[:128] + 0.01 * rng.standard_normal(128)
+    for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
+        z[128] = 0.3  # a non-zero wave speed exercises the c D1 term
+        fused = ks_jacobian(config, z)
+        dense = dense_ks_jacobian(config, z)
+        assert fused.shape == dense.shape == (129, 130)
+        assert np.abs(fused - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_carried_residuals_are_never_stale(monkeypatch):
+    # Every accepted KS point re-anchors the phase row, so a residual a
+    # node carried from before the re-anchoring no longer is F(zeta).
+    z0, config = load_ks_fixture()
+    problem = ks_problem(config)
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")),
+        worker_budget=12,
+        round_limit=10,
+    )
+    step = arctree.engine.corrector_step
+    carried = []
+
+    def spy(problem, zeta, tangent, z_base, h, f=None):
+        if f is not None:
+            fresh = evaluate_residual(problem, zeta)
+            carried.append(f.tobytes() == fresh.tobytes())
+        return step(problem, zeta, tangent, z_base, h, f)
+
+    monkeypatch.setattr(arctree.engine, "corrector_step", spy)
+    result = run_continuation(problem, params, z0)
+    assert len(result.accepted_points) > 2
+    assert len(carried) > 50
+    assert all(carried)
 
 
 def test_jacobian_matches_finite_differences():

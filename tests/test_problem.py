@@ -15,6 +15,7 @@ from arctree.problem import (
     evaluate_residual,
     residual_norm,
 )
+from test_engine import counting_circle
 
 
 def test_problem_definition_validation():
@@ -117,6 +118,48 @@ def test_singular_bordered_matrix_fails():
             np.zeros(2),
             0.1,
         )
+
+
+@pytest.mark.parametrize("where", ["jacobian", "tangent"])
+def test_non_finite_bordered_system_fails(where):
+    inner = circle_problem()
+    jacobian = inner.jacobian
+    if where == "jacobian":
+        jacobian = lambda z: np.array([[np.nan, 2.0 * z[1]]])
+    problem = ProblemDefinition(
+        n_dim=2, lambda_index=1, residual=inner.residual, jacobian=jacobian
+    )
+    tangent = np.array([np.nan if where == "tangent" else 0.0, 1.0])
+    with pytest.raises(CorrectorFailure):
+        bordered_newton_step(
+            problem, np.array([1.0, 0.1]), tangent, np.array([1.0, 0.0]), 0.1
+        )
+
+
+def test_zero_bordered_matrix_fails():
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([z[0]]),
+        jacobian=lambda z: np.zeros((1, 2)),
+    )
+    with pytest.raises(CorrectorFailure):
+        bordered_newton_step(
+            problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1
+        )
+
+
+def test_known_residual_is_used_in_place_of_an_evaluation():
+    problem, calls = counting_circle()
+    zeta = np.array([1.0, 0.1])
+    tangent = np.array([0.0, 1.0])
+    z_base = np.array([1.0, 0.0])
+    fresh = corrector_step(problem, zeta, tangent, z_base, 0.1)
+    assert len(calls) == 1
+    f = evaluate_residual(problem, zeta)
+    carried = corrector_step(problem, zeta, tangent, z_base, 0.1, f)
+    assert len(calls) == 2
+    assert carried.tobytes() == fresh.tobytes()
 
 
 def test_corrector_requires_jacobian_or_custom():
