@@ -77,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="threads used to serve corrector steps (never changes results)",
+        help=(
+            "threads that serve each corrector round, the calling thread "
+            "included (never changes results)"
+        ),
     )
     parser.add_argument(
         "--ks-amplitude",

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .fileio import export_dot
 from .params import RunParams
 from .problem import (
@@ -76,37 +78,63 @@ Sink = Callable[[CurvePoint], None]
 
 
 class WorkerPool:
-    """Maps pure corrector tasks over worker threads.
+    """Maps pure corrector tasks over n_workers threads, the caller's included.
 
-    Outcomes are returned in task order as (ok, payload) pairs, where a
-    failed task carries its step-failure exception.  n_workers == 1 runs
-    inline.  Thread count never affects the payloads, only wall time.
+    The tasks are split into min(n_workers, len(tasks)) contiguous
+    slices; the calling thread serves the first and n_workers - 1 helper
+    threads the others, one slice each, so a round costs one hand-off
+    per helper rather than one per task.  Outcomes are returned in task
+    order as (ok, payload) pairs, where a failed task carries its
+    step-failure exception; any other exception propagates.  n_workers
+    == 1 runs inline.  While it has helper threads the pool holds BLAS
+    to one thread.  Thread count never affects the payloads, only wall
+    time.
     """
 
     def __init__(self, n_workers: int = 1):
         self.n_workers = max(1, int(n_workers))
         self._executor: ThreadPoolExecutor | None = None
+        self._held = ExitStack()
 
     def __enter__(self) -> "WorkerPool":
         if self.n_workers > 1:
-            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
+            self._held.enter_context(one_blas_thread())
+            self._executor = self._held.enter_context(
+                ThreadPoolExecutor(max_workers=self.n_workers - 1)
+            )
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        # Shuts the helpers down, then restores the BLAS thread count.
+        self._held.close()
+        self._executor = None
 
     def map(self, fn, tasks):
-        def call(task):
-            try:
-                return True, fn(*task)
-            except (CorrectorFailure, EvaluationError) as exc:
-                return False, exc
+        def serve(chunk):
+            out = []
+            for task in chunk:
+                try:
+                    out.append((True, fn(*task)))
+                except (CorrectorFailure, EvaluationError) as exc:
+                    out.append((False, exc))
+            return out
 
-        if self._executor is None or len(tasks) <= 1:
-            return [call(task) for task in tasks]
-        return list(self._executor.map(call, tasks))
+        n = min(self.n_workers, len(tasks))
+        if self._executor is None or n <= 1:
+            return serve(tasks)
+        cuts = [len(tasks) * k // n for k in range(n + 1)]
+        helpers = [
+            self._executor.submit(serve, tasks[cuts[k] : cuts[k + 1]])
+            for k in range(1, n)
+        ]
+        try:
+            outcomes = serve(tasks[: cuts[1]])
+        finally:
+            # No task of this round runs on once map has returned or raised.
+            wait(helpers)
+        for future in helpers:
+            outcomes.extend(future.result())
+        return outcomes
 
 
 def stop_reason(
@@ -258,12 +286,7 @@ def make_root(point: CurvePoint, direction: Array, params: RunParams) -> TreeNod
     )
 
 
-def spawn_round(
-    root: TreeNode,
-    problem: ProblemDefinition,
-    params: RunParams,
-    budget: int,
-) -> int:
+def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
     """Seed predictor children at every eligible leaf.
 
     Leaves are visited breadth first; only leaves above the depth cap
@@ -272,9 +295,8 @@ def spawn_round(
     stored tangent for the root, or the seed direction again when the
     secant is degenerate).  Children whose step magnitude would exceed
     h_max are skipped.  Spawning stops when the budget is exhausted.
-    Returns the number of children created.  Each child's residual is
-    evaluated at its predicted point and kept for its first corrector
-    step; a non-finite predictor marks the child BLACK immediately.
+    Returns the number of children created.  A child's residual is
+    evaluated in its first corrector round, not here.
     """
     if budget <= 0:
         return 0
@@ -291,9 +313,8 @@ def spawn_round(
             h_child = scale * leaf.h_base
             if abs(h_child) > params.h_max:
                 continue
-            zeta0 = leaf.zeta + h_child * direction
             child = TreeNode(
-                zeta=zeta0,
+                zeta=leaf.zeta + h_child * direction,
                 z_init=leaf.zeta.copy(),
                 t_init=np.asarray(direction, dtype=float).copy(),
                 h_init=h_child,
@@ -302,12 +323,6 @@ def spawn_round(
                 nu_init=leaf.nu,
                 color=Color.RED,
             )
-            try:
-                child.residual = evaluate_residual(problem, zeta0)
-                child.residual_norm_current = float(np.linalg.norm(child.residual))
-            except EvaluationError:
-                child.residual_norm_current = math.inf
-                child.color = Color.BLACK
             leaf.children.append(child)
             spawned += 1
     return spawned
@@ -320,9 +335,31 @@ def _step_task(
     z_base: Array,
     h: float,
     f: Array | None,
-) -> tuple[Array, Array]:
-    new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
-    return new_zeta, evaluate_residual(problem, new_zeta)
+    fresh: bool,
+) -> tuple[float | None, Array | None, Array | None, float | None]:
+    """One corrector step from zeta: (r0, new zeta, F there, its norm).
+
+    A fresh node has not been stepped and carries no residual, so F is
+    first evaluated at its predictor and r0 is its norm (r0 is None for
+    other nodes).  A fresh node whose predictor is non-finite returns
+    (inf, None, None, None) and takes no step; one whose step fails
+    returns (r0, None, None, None).  Other nodes' step failures raise.
+    """
+    r0 = None
+    if fresh:
+        try:
+            f = evaluate_residual(problem, zeta)
+        except EvaluationError:
+            return math.inf, None, None, None
+        r0 = float(np.linalg.norm(f))
+    try:
+        new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
+        new_f = evaluate_residual(problem, new_zeta)
+    except (CorrectorFailure, EvaluationError):
+        if not fresh:
+            raise
+        return r0, None, None, None
+    return r0, new_zeta, new_f, float(np.linalg.norm(new_f))
 
 
 def corrector_round(
@@ -335,28 +372,36 @@ def corrector_round(
 
     All RED and YELLOW nodes receive exactly one corrector step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
-    Each step starts from the node's carried residual and leaves the
-    residual at its new iterate on the node.  Results are applied in
-    traversal order: residual history shifts, the iteration count
-    increments, and the node is recolored.  A failed step turns the node
-    BLACK.  Returns the number of steps executed.
+    A fresh node's residual at its predictor is evaluated in its task;
+    a non-finite one turns the node BLACK without a step.  Each step
+    starts from the node's residual and leaves the residual at its new
+    iterate on the node.  Results are applied in traversal order:
+    residual history shifts, the iteration count increments, and the
+    node is recolored.  A failed step turns the node BLACK.  Returns the
+    number of steps executed.
     """
     targets = unfinished_nodes(root)
     tasks = [
-        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual)
+        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual, n.nu == 0)
         for n in targets
     ]
     outcomes = pool.map(_step_task, tasks)
+    steps = len(targets)
     for node, (ok, payload) in zip(targets, outcomes):
-        if not ok:
+        r0, zeta, f, r = payload if ok else (None, None, None, None)
+        if r0 is not None:
+            node.residual_norm_current = r0
+            if r0 == math.inf:
+                steps -= 1
+        if zeta is None:
             node.color = Color.BLACK
             continue
-        node.zeta, node.residual = payload
+        node.zeta, node.residual = zeta, f
         node.nu += 1
         node.residual_norm_previous = node.residual_norm_current
-        node.residual_norm_current = float(np.linalg.norm(node.residual))
+        node.residual_norm_current = r
         node.color = assign_color(node, params)
-    return len(targets)
+    return steps
 
 
 def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
@@ -396,11 +441,9 @@ def run_continuation(
     round can change nothing.  Points are emitted through emit_point, so
     the sink sees only re-verified points; the final root is emitted at
     termination.  An on_accept hook may change the residual, so after it
-    has run the residuals carried on the nodes are dropped.
+    has run the residuals carried on the nodes are dropped.  n_workers
+    threads, the calling one included, serve each corrector round.
     """
-    point0, direction = bootstrap(problem, params, initial_point)
-    root = make_root(point0, direction, params)
-
     accepted: list[CurvePoint] = []
 
     def emit(point: CurvePoint) -> None:
@@ -409,8 +452,10 @@ def run_continuation(
     rounds = 0
     steps_total = 0
     nodes_failed = 0
-    try:
-        with WorkerPool(n_workers) as pool:
+    with WorkerPool(n_workers) as pool:
+        point0, direction = bootstrap(problem, params, initial_point)
+        root = make_root(point0, direction, params)
+        try:
             while True:
                 reason = stop_reason(
                     problem, params, root.zeta, root.h_base, rounds
@@ -418,7 +463,7 @@ def run_continuation(
                 if reason is not None:
                     break
                 free = params.worker_budget - len(unfinished_nodes(root))
-                spawned = spawn_round(root, problem, params, free)
+                spawned = spawn_round(root, params, free)
                 steps = corrector_round(root, problem, params, pool)
                 steps_total += steps
                 rounds += 1
@@ -443,9 +488,9 @@ def run_continuation(
                     # of spinning to the round limit.
                     reason = TerminationReason.ITERATION_BUDGET
                     break
-        emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
-    except EvaluationError:
-        reason = TerminationReason.EVALUATION_FAILURE
+            emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
+        except EvaluationError:
+            reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(
         accepted_points=accepted,
         termination_reason=reason,

@@ -93,7 +93,7 @@ def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
         raise ValueError(
             f"residual has shape {out.shape}, expected ({problem.n_dim - 1},)"
         )
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise EvaluationError("residual contains non-finite entries")
     return out
 

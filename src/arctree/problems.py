@@ -112,11 +112,18 @@ class KsConfig:
     reference_profile anchors the phase condition; the problem's
     on_accept hook refreshes it to the most recent accepted profile so the
     condition stays well scaled as the wave deforms along the branch.
+    Refresh it by assigning a new array, not by writing into the old one:
+    its derivative is cached per array (see phase_gradient).
     """
 
     n_grid: int
     amplitude: float = 8.09
     reference_profile: Array = field(default=None)  # type: ignore[assignment]
+    # (reference_profile, D1 @ reference_profile), swapped as one tuple so a
+    # thread never sees the derivative of another profile.
+    _phase: tuple[Array, Array] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.n_grid
@@ -130,6 +137,15 @@ class KsConfig:
             ).copy()
             if self.reference_profile.shape != (n,):
                 raise ValueError("reference_profile must have n_grid entries")
+
+    def phase_gradient(self) -> Array:
+        """D1 @ reference_profile, computed once per reference array."""
+        ref = self.reference_profile
+        cached = self._phase
+        if cached is None or cached[0] is not ref:
+            cached = (ref, spectral_operators(self.n_grid)[0] @ ref)
+            self._phase = cached
+        return cached[1]
 
     @property
     def n_dim(self) -> int:
@@ -150,20 +166,20 @@ def ks_residual(config: KsConfig, z: Array) -> Array:
     grid-size independent.
     """
     n = config.n_grid
-    d1, d2, d4, dealias = spectral_operators(n)
+    dealias = spectral_operators(n)[3]
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
-    d1w = d1 @ w
+    # D1 w, D2 w and D4 w from one product with the rows of D1, D2, D4.
+    d1w, d2w, d4w = (stacked_derivatives(n).reshape(3 * n, n) @ w).reshape(3, n)
     pde = (
         -c * d1w
         + dealias @ (w * d1w)
-        + d2 @ w
-        + lam * (d4 @ w)
+        + d2w
+        + lam * d4w
         - config.amplitude * np.sin(w)
     )
-    ref = config.reference_profile
-    phase = float((w - ref) @ (d1 @ ref)) / n
+    phase = float((w - config.reference_profile) @ config.phase_gradient()) / n
     return np.concatenate([pde, [phase]])
 
 
@@ -196,8 +212,7 @@ def ks_jacobian(config: KsConfig, z: Array) -> Array:
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     np.matmul(d4, w, out=out[:n, n + 1])
-    np.matmul(d1, config.reference_profile, out=out[n, :n])
-    out[n, :n] /= n
+    np.divide(config.phase_gradient(), n, out=out[n, :n])
     out[n, n:] = 0.0
     return out
 

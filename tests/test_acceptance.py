@@ -365,7 +365,7 @@ def test_criterion_8c_dot_snapshot_of_full_tree(tmp_path):
         active = sum(
             1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
         )
-        spawn_round(root, problem, params, params.worker_budget - active)
+        spawn_round(root, params, params.worker_budget - active)
         corrector_round(root, problem, params, pool)
     assert count_nodes(root) == 13
 

@@ -4,7 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from arctree import circle_problem, data_path
+from arctree import (
+    circle_problem,
+    data_path,
+    parse_parameters,
+    read_initial_point,
+    run_continuation,
+)
 from arctree.blas import one_blas_thread, thread_controls
 from arctree.cli import main
 
@@ -54,5 +60,14 @@ def test_cli_run_holds_one_blas_thread(two_threads, tmp_path):
         "--outdir", str(tmp_path),
     ]
     assert main(argv) == 0
+    assert SEEN and all(seen == [1] * len(thread_controls()) for seen in SEEN)
+    assert counts() == [2] * len(thread_controls())
+
+
+def test_library_run_with_workers_holds_one_blas_thread(two_threads):
+    SEEN.clear()
+    params = parse_parameters(data_path("circle.params"))
+    z0 = read_initial_point(data_path("circle_start.txt"))
+    run_continuation(recording_problem(), params, z0, n_workers=2)
     assert SEEN and all(seen == [1] * len(thread_controls()) for seen in SEEN)
     assert counts() == [2] * len(thread_controls())

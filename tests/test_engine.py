@@ -1,5 +1,6 @@
 """Bootstrap, spawning, corrector rounds, root advancement, main loop."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_spawn_round_seeds_children_in_scaling_order():
     params = slow_params()
     point, direction = bootstrap(problem, params, np.zeros(2))
     root = make_root(point, direction, params)
-    spawned = spawn_round(root, problem, params, budget=12)
+    spawned = spawn_round(root, params, budget=12)
     assert spawned == 3
     steps = [child.h_init for child in root.children]
     assert steps == sorted(steps)
@@ -120,7 +121,9 @@ def test_spawn_round_seeds_children_in_scaling_order():
         assert child.color is Color.RED
         assert child.nu == 0
         assert child.nu_init == root.nu
-        assert np.isfinite(child.residual_norm_current)
+        # F at the predictor is evaluated in the child's first round.
+        assert child.residual is None
+        assert child.residual_norm_current == np.inf
         assert child.z_init == pytest.approx(root.zeta)
 
 
@@ -129,9 +132,9 @@ def test_spawn_round_respects_budget():
     params = slow_params()
     point, direction = bootstrap(problem, params, np.zeros(2))
     root = make_root(point, direction, params)
-    assert spawn_round(root, problem, params, budget=2) == 2
+    assert spawn_round(root, params, budget=2) == 2
     assert len(root.children) == 2
-    assert spawn_round(root, problem, params, budget=0) == 0
+    assert spawn_round(root, params, budget=0) == 0
 
 
 def test_spawn_round_skips_steps_above_h_max():
@@ -139,7 +142,7 @@ def test_spawn_round_skips_steps_above_h_max():
     params = slow_params(h_init=0.2, h_max=0.25)  # scaling 2 gives 0.4
     point, direction = bootstrap(problem, params, np.zeros(2))
     root = make_root(point, direction, params)
-    assert spawn_round(root, problem, params, budget=12) == 2
+    assert spawn_round(root, params, budget=12) == 2
     assert [c.h_init for c in root.children] == pytest.approx([0.15, 0.2])
 
 
@@ -148,9 +151,9 @@ def test_spawn_round_respects_depth_cap():
     params = slow_params(max_depth=1)
     point, direction = bootstrap(problem, params, np.zeros(2))
     root = make_root(point, direction, params)
-    spawn_round(root, problem, params, budget=12)
+    spawn_round(root, params, budget=12)
     corrector_round(root, problem, params, WorkerPool(1))
-    assert spawn_round(root, problem, params, budget=9) == 0
+    assert spawn_round(root, params, budget=9) == 0
 
 
 def test_tree_growth_matches_budget_12_shape():
@@ -167,18 +170,18 @@ def test_tree_growth_matches_budget_12_shape():
         1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
     )
     free = params.worker_budget - active()
-    assert spawn_round(root, problem, params, free) == 3
+    assert spawn_round(root, params, free) == 3
     assert active() <= params.worker_budget
     corrector_round(root, problem, params, pool)
 
     free = params.worker_budget - active()
     assert free == 9
-    assert spawn_round(root, problem, params, free) == 9
+    assert spawn_round(root, params, free) == 9
     assert count_nodes(root) == 13
     assert active() == params.worker_budget
     corrector_round(root, problem, params, pool)
 
-    assert spawn_round(root, problem, params, params.worker_budget - active()) == 0
+    assert spawn_round(root, params, params.worker_budget - active()) == 0
     assert count_nodes(root) == 13
 
 
@@ -192,7 +195,7 @@ def test_corrector_round_steps_only_unfinished_nodes():
     params = slow_params()
     point, direction = bootstrap(problem, params, np.zeros(2))
     root = make_root(point, direction, params)
-    spawn_round(root, problem, params, budget=12)
+    spawn_round(root, params, budget=12)
     green_zeta = root.zeta.copy()
     stepped = corrector_round(root, problem, params, WorkerPool(1))
     assert stepped == 3
@@ -225,20 +228,74 @@ def test_corrector_round_blackens_failed_steps():
     assert child.color is Color.BLACK
 
 
-def test_worker_pool_returns_results_in_task_order():
+def nan_beyond_problem() -> ProblemDefinition:
+    """slow_problem, with a NaN residual for lambda above 0.15."""
+    inner = slow_problem()
+
+    def residual(z):
+        return np.array([np.nan if z[1] > 0.15 else z[0] - z[1] ** 2])
+
+    return replace(inner, residual=residual)
+
+
+def test_non_finite_predictor_blackens_only_its_child():
+    # Scalings 0.75, 1 and 2 of h 0.1 put the predictors at lambda 0.075,
+    # 0.1 and 0.2; only the last lies where the residual is NaN.
+    problem = nan_beyond_problem()
+    params = slow_params()
+    point, direction = bootstrap(problem, params, np.zeros(2))
+    root = make_root(point, direction, params)
+    spawn_round(root, params, budget=12)
+    assert corrector_round(root, problem, params, WorkerPool(1)) == 2
+    first, second, largest = root.children
+    assert largest.color is Color.BLACK
+    assert largest.nu == 0 and largest.residual_norm_current == np.inf
+    for child in (first, second):
+        assert child.color is Color.RED and child.nu == 1
+        assert np.isfinite(child.residual_norm_previous)
+
+    result = run_continuation(problem, replace(params, round_limit=1), np.zeros(2))
+    assert result.rounds_executed == 1
+    assert result.corrector_steps_total == 2
+    assert result.nodes_failed == 1
+
+
+@pytest.mark.parametrize("n_tasks", [0, 1, 2, 5, 13])
+@pytest.mark.parametrize("n_workers", [1, 2, 3, 12])
+def test_worker_pool_returns_results_in_task_order(n_workers, n_tasks):
+    served_by = {}
+
     def fn(i):
-        if i == 1:
+        served_by[i] = threading.get_ident()
+        if i % 3 == 1:
             raise EvaluationError("boom")
         return i * 10
 
-    tasks = [(0,), (1,), (2,)]
-    serial = WorkerPool(1).map(fn, tasks)
-    with WorkerPool(3) as pool:
-        threaded = pool.map(fn, tasks)
-    for outcomes in (serial, threaded):
-        assert [ok for ok, _ in outcomes] == [True, False, True]
-        assert outcomes[0][1] == 0 and outcomes[2][1] == 20
-        assert isinstance(outcomes[1][1], EvaluationError)
+    tasks = [(i,) for i in range(n_tasks)]
+    with WorkerPool(n_workers) as pool:
+        outcomes = pool.map(fn, tasks)
+    assert len(outcomes) == n_tasks
+    for i, (ok, payload) in enumerate(outcomes):
+        if i % 3 == 1:
+            assert not ok and isinstance(payload, EvaluationError)
+        else:
+            assert ok and payload == i * 10
+    if n_tasks:
+        assert served_by[0] == threading.get_ident()
+    assert len(set(served_by.values())) <= n_workers
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+def test_worker_pool_propagates_other_errors_from_a_helper(n_workers):
+    def fn(i):
+        if i == 4:
+            raise ValueError("contract error")
+        return i
+
+    tasks = [(i,) for i in range(5)]  # task 4 is in the last, helper's slice
+    with WorkerPool(n_workers) as pool:
+        with pytest.raises(ValueError, match="contract error"):
+            pool.map(fn, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +572,8 @@ def counting_circle():
 @pytest.mark.parametrize(
     "algorithm,expected",
     [
-        # 4 in bootstrap + 77 spawns + 149 steps + 24 emissions
+        # 4 in bootstrap + 77 predictors (in their first round) + 149 steps
+        # + 24 emissions
         (run_continuation, 254),
         (serial_pac, 100),
     ],

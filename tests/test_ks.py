@@ -1,5 +1,6 @@
 """Spectral travelling-wave problem: operators, residual, symmetry, data."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +111,30 @@ def test_residual_matches_hand_computation_on_a_sine():
     )
     rows = ks_residual(config, z)
     assert rows[:n] == pytest.approx(expected, abs=5e-9)
+
+
+def test_residual_equals_the_term_by_term_formula():
+    # The stacked product and the cached phase gradient keep the
+    # arithmetic of one product per operator, so the bits must agree.
+    z0, config = load_ks_fixture()
+    n = config.n_grid
+    d1, d2, d4, dealias = spectral_operators(n)
+    rng = np.random.default_rng(3)
+    config.reference_profile = z0[:n] + 0.01 * rng.standard_normal(n)
+    for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
+        w, c, lam = z[:n], z[n], z[n + 1]
+        ref = config.reference_profile
+        d1w = d1 @ w
+        pde = (
+            -c * d1w
+            + dealias @ (w * d1w)
+            + d2 @ w
+            + lam * (d4 @ w)
+            - config.amplitude * np.sin(w)
+        )
+        phase = float((w - ref) @ (d1 @ ref)) / n
+        expected = np.concatenate([pde, [phase]])
+        assert np.array_equal(ks_residual(config, z), expected)
 
 
 def test_phase_row_vanishes_at_the_reference():
@@ -261,6 +286,50 @@ def test_on_accept_refreshes_the_phase_anchor():
     problem = ks_problem(config)
     problem.on_accept(make_state(config, np.full(32, 2.5)))
     assert config.reference_profile == pytest.approx(np.full(32, 2.5))
+
+
+def test_phase_gradient_follows_the_reference():
+    # The derivative of the reference is cached per reference array; a new
+    # anchor, from on_accept or assigned directly, must replace it.
+    z0, config = load_ks_fixture()
+    problem = ks_problem(config)
+    rng = np.random.default_rng(11)
+    z = z0 + 1e-3 * rng.standard_normal(z0.shape)
+
+    def assert_as_fresh():
+        fresh = KsConfig(n_grid=128, reference_profile=config.reference_profile)
+        assert np.array_equal(ks_residual(config, z), ks_residual(fresh, z))
+        assert np.array_equal(ks_jacobian(config, z), ks_jacobian(fresh, z))
+
+    assert_as_fresh()
+    problem.on_accept(z)
+    assert_as_fresh()
+    config.reference_profile = z0[:128] + 1e-2 * rng.standard_normal(128)
+    assert_as_fresh()
+
+
+def test_threaded_rounds_match_one_worker_under_frequent_switches():
+    # Worker threads share the problem, and with it the cached phase
+    # gradient, across re-anchors; switching threads every microsecond
+    # must not change a single bit of the curve.
+    z0, _ = load_ks_fixture()
+    params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=12)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 4):
+            _, config = load_ks_fixture()
+            problem = ks_problem(config)
+            runs.append(run_continuation(problem, params, z0, n_workers=workers))
+    finally:
+        sys.setswitchinterval(interval)
+    one, four = runs
+    assert len(one.accepted_points) > 2  # the phase was re-anchored
+    assert [p.z.tobytes() for p in four.accepted_points] == [
+        p.z.tobytes() for p in one.accepted_points
+    ]
+    assert four.corrector_steps_total == one.corrector_steps_total
 
 
 def test_natural_continuation_steps_on_the_packaged_params():
