@@ -4,8 +4,9 @@ Reads a parameter file and an initial point, runs the chosen
 continuation algorithm, and streams accepted points to
 ``<outdir>/curve.txt`` (one point per line, 17 significant digits).
 Exit status is 0 when the run swept the parameter to its window edge,
-2 for usage errors or unreadable inputs, 1 for runs that stopped for
-any other reason.  The run holds BLAS to one thread (see ``blas``).
+2 for usage errors, unreadable inputs or an output directory that cannot
+take curve.txt, 1 for runs that stopped for any other reason.  The run
+holds BLAS to one thread (see ``blas``).
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = parse_parameters(args.params)
         z0 = read_initial_point(args.initial_point)
-    except (OSError, ParameterError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"arctree: {exc}", file=sys.stderr)
         return 2
     if z0.shape != (params.n_dim,):
@@ -150,9 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         except ParameterError as exc:
             print(f"arctree: {exc}", file=sys.stderr)
             return 2
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     try:
         problem = resolve_problem(args.problem, params, z0, args.ks_amplitude)
@@ -171,15 +169,19 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
+    outdir = Path(args.outdir)
     curve_path = outdir / "curve.txt"
-    # A fresh file: truncating one written moments before first waits for
-    # the filesystem to flush its pages, which can take tens of ms.
-    curve_path.unlink(missing_ok=True)
     try:
-        with (
-            one_blas_thread(),
-            open(curve_path, "w", encoding="utf-8") as fh,
-        ):
+        outdir.mkdir(parents=True, exist_ok=True)
+        # A fresh file: truncating one written moments before first waits
+        # for the filesystem to flush its pages, which can take tens of ms.
+        curve_path.unlink(missing_ok=True)
+        fh = open(curve_path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"arctree: cannot write {curve_path}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        with fh, one_blas_thread():
 
             def writer(point: CurvePoint) -> None:
                 write_curve_point(fh, point.z)

@@ -203,7 +203,7 @@ def correct(
             zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
             steps += 1
             f = evaluate_residual(problem, zeta)
-            r = float(np.linalg.norm(f))
+            r = math.sqrt(f.dot(f))
             if r <= params.tol_residual:
                 return CurvePoint(zeta, r), steps
     except (CorrectorFailure, EvaluationError):
@@ -351,7 +351,7 @@ def _step_task(
             f = evaluate_residual(problem, zeta)
         except EvaluationError:
             return math.inf, None, None, None
-        r0 = float(np.linalg.norm(f))
+        r0 = math.sqrt(f.dot(f))
     try:
         new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
         new_f = evaluate_residual(problem, new_zeta)
@@ -359,7 +359,7 @@ def _step_task(
         if not fresh:
             raise
         return r0, None, None, None
-    return r0, new_zeta, new_f, float(np.linalg.norm(new_f))
+    return r0, new_zeta, new_f, math.sqrt(new_f.dot(new_f))
 
 
 def corrector_round(

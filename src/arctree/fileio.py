@@ -139,8 +139,14 @@ def write_parameters(params: RunParams, path: str | os.PathLike) -> None:
 
 
 def read_initial_point(path: str | os.PathLike) -> np.ndarray:
-    """Read a single point: whitespace-separated floats, comments allowed."""
-    values = np.loadtxt(path, comments="#", dtype=float)
+    """Read a single point: whitespace-separated floats, comments allowed.
+
+    Text that is not a float raises ValueError naming the file.
+    """
+    try:
+        values = np.loadtxt(path, comments="#", dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name}: {exc}") from exc
     return np.atleast_1d(values).ravel()
 
 

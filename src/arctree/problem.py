@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
 Array = np.ndarray
 
@@ -100,7 +100,8 @@ def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
 
 def residual_norm(problem: ProblemDefinition, z: Array) -> float:
     """Euclidean norm of the residual at z."""
-    return float(np.linalg.norm(evaluate_residual(problem, z)))
+    f = evaluate_residual(problem, z)
+    return math.sqrt(f.dot(f))
 
 
 def lu_factor(matrix: Array) -> tuple[Array, Array]:
@@ -162,8 +163,9 @@ def bordered_newton_step(
     matrix[:-1] = jac
     matrix[-1] = tangent
     gap = h - float(np.dot(tangent, zeta - z_base))
-    # A NaN or infinite entry makes the largest absolute row sum non-finite.
-    row_scale = float(np.abs(matrix).sum(axis=1).max())
+    # The largest absolute row sum (LAPACK lange, no temporaries); a NaN
+    # or infinite entry makes it non-finite.
+    row_scale = float(dlange("I", matrix))
     if not (math.isfinite(row_scale) and math.isfinite(gap)):
         raise CorrectorFailure("non-finite bordered system")
     if row_scale == 0.0:

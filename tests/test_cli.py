@@ -1,5 +1,6 @@
 """Command line interface: argument handling, outputs, exit codes."""
 
+import os
 import re
 import subprocess
 import sys
@@ -136,6 +137,68 @@ def test_wrong_point_size_is_a_usage_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "N_DIM" in capsys.readouterr().err
+
+
+def test_malformed_initial_point_is_a_usage_error(tmp_path, capsys):
+    start = tmp_path / "start.txt"
+    start.write_text("1.0 abc\n", encoding="utf-8")
+    rc = main(
+        [
+            "--params", str(data_path("circle.params")),
+            "--initial-point", str(start),
+            "--outdir", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("arctree: start.txt: ") and "abc" in err
+    assert not (tmp_path / "curve.txt").exists()
+
+
+def _outdir_is_a_file(tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n", encoding="utf-8")
+    return target
+
+
+def _outdir_below_a_file(tmp_path):
+    return _outdir_is_a_file(tmp_path) / "sub"
+
+
+def _curve_is_a_directory(tmp_path):
+    (tmp_path / "out" / "curve.txt").mkdir(parents=True)
+    return tmp_path / "out"
+
+
+def _outdir_is_read_only(tmp_path):
+    # Left empty, so the test directory can still be removed afterwards.
+    target = tmp_path / "locked"
+    target.mkdir()
+    target.chmod(0o500)
+    return target
+
+
+@pytest.mark.parametrize(
+    "make_outdir",
+    [
+        _outdir_is_a_file,
+        _outdir_below_a_file,
+        _curve_is_a_directory,
+        pytest.param(
+            _outdir_is_read_only,
+            marks=pytest.mark.skipif(
+                hasattr(os, "geteuid") and os.geteuid() == 0,
+                reason="directory permissions do not bind the superuser",
+            ),
+        ),
+    ],
+)
+def test_unusable_outdir_is_a_usage_error(circle_args, tmp_path, capsys, make_outdir):
+    outdir = make_outdir(tmp_path)
+    assert main(circle_args("--outdir", str(outdir))) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("arctree: cannot write ")
+    assert captured.out == ""
 
 
 def test_unconverged_start_is_a_runtime_error(tmp_path, capsys):

@@ -24,6 +24,7 @@ from arctree.problems import (
     ks_residual,
     reflect_profile,
     reflect_state,
+    removed_modes,
     spectral_operators,
     stacked_derivatives,
 )
@@ -152,9 +153,19 @@ def test_phase_row_vanishes_at_the_reference():
     assert ks_residual(config, z2)[n] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_removed_modes_span_what_the_dealias_projector_removes(n):
+    modes, modes_t = removed_modes(n)
+    assert modes.shape == (n, 2 * (n // 2 - n // 3 - 1) + 1)
+    assert np.array_equal(modes_t, modes.T)
+    assert np.abs(modes_t @ modes - np.eye(modes.shape[1])).max() <= 1e-14
+    dealias = spectral_operators(n)[3]
+    assert np.abs(np.eye(n) - modes @ modes_t - dealias).max() <= 1e-14
+
+
 def test_operator_caches_are_read_only():
     # An in-place write to a cached operator would corrupt every later call.
-    for op in (*spectral_operators(32), stacked_derivatives(32)):
+    for op in (*spectral_operators(32), stacked_derivatives(32), *removed_modes(32)):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
         with pytest.raises(ValueError):

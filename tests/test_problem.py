@@ -120,12 +120,14 @@ def test_singular_bordered_matrix_fails():
         )
 
 
-@pytest.mark.parametrize("where", ["jacobian", "tangent"])
+@pytest.mark.parametrize("where", ["jacobian", "inf-jacobian", "tangent"])
 def test_non_finite_bordered_system_fails(where):
     inner = circle_problem()
     jacobian = inner.jacobian
     if where == "jacobian":
         jacobian = lambda z: np.array([[np.nan, 2.0 * z[1]]])
+    if where == "inf-jacobian":
+        jacobian = lambda z: np.array([[np.inf, 2.0 * z[1]]])
     problem = ProblemDefinition(
         n_dim=2, lambda_index=1, residual=inner.residual, jacobian=jacobian
     )
