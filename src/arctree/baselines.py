@@ -92,8 +92,9 @@ def serial_pac(
 ) -> SerialTrace:
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
-    Each attempt predicts along the unit secant of the last two points
-    and runs up to max_iter corrector iterations on the bordered system.
+    Each attempt predicts along the unit secant of the last two points,
+    or the previous direction when that secant is degenerate, as the
+    tree does, and runs up to max_iter corrector iterations.
     On success the step doubles (capped at h_max) unless step_growth is
     off; on failure it halves.  The run ends by stop_reason on the last
     point, the step and the attempts made, or when an accepted point
@@ -120,14 +121,9 @@ def serial_pac(
                 failures += 1
                 h *= 0.5
                 continue
-            new_tangent = unit_secant(z, point.z)
-            if new_tangent is not None:
-                # The arclength constraint makes the secant's component
-                # along the old tangent equal +h, so this flip only fires
-                # for custom correctors that drop that constraint.
-                if float(np.dot(new_tangent, tangent)) < 0.0:
-                    new_tangent = -new_tangent
-                tangent = new_tangent
+            secant = unit_secant(z, point.z)
+            if secant is not None:
+                tangent = secant
             emit_point(problem, params, point, accepted, sink)
             z = point.z
             if step_growth:

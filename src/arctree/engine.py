@@ -78,16 +78,16 @@ Sink = Callable[[CurvePoint], None]
 
 
 class WorkerPool:
-    """Maps pure corrector tasks over n_workers threads, the caller's included.
+    """An ordered map of tasks over n_workers threads, the caller's included.
 
-    The tasks are split into min(n_workers, len(tasks)) contiguous
-    slices; the calling thread serves the first and n_workers - 1 helper
-    threads the others, one slice each, so a round costs one hand-off
-    per helper rather than one per task.  Outcomes are returned in task
-    order as (ok, payload) pairs, where a failed task carries its
-    step-failure exception; any other exception propagates.  n_workers
+    map(fn, tasks) returns fn(*task) for each task, in task order.  The
+    tasks are split into min(n_workers, len(tasks)) contiguous slices;
+    the calling thread serves the first and n_workers - 1 helper threads
+    the others, one slice each, so a round costs one hand-off per helper
+    rather than one per task.  The pool catches nothing: an exception
+    from any task propagates once every slice has finished.  n_workers
     == 1 runs inline.  While it has helper threads the pool holds BLAS
-    to one thread.  Thread count never affects the payloads, only wall
+    to one thread.  Thread count never affects the results, only wall
     time.
     """
 
@@ -111,13 +111,7 @@ class WorkerPool:
 
     def map(self, fn, tasks):
         def serve(chunk):
-            out = []
-            for task in chunk:
-                try:
-                    out.append((True, fn(*task)))
-                except (CorrectorFailure, EvaluationError) as exc:
-                    out.append((False, exc))
-            return out
+            return [fn(*task) for task in chunk]
 
         n = min(self.n_workers, len(tasks))
         if self._executor is None or n <= 1:
@@ -128,13 +122,13 @@ class WorkerPool:
             for k in range(1, n)
         ]
         try:
-            outcomes = serve(tasks[: cuts[1]])
+            results = serve(tasks[: cuts[1]])
         finally:
             # No task of this round runs on once map has returned or raised.
             wait(helpers)
         for future in helpers:
-            outcomes.extend(future.result())
-        return outcomes
+            results.extend(future.result())
+        return results
 
 
 def stop_reason(
@@ -181,6 +175,40 @@ def start_point(
     return CurvePoint(z0, r0)
 
 
+def step(
+    problem: ProblemDefinition,
+    zeta: Array,
+    tangent: Array,
+    z_base: Array,
+    h: float,
+    f: Array | None,
+    fresh: bool,
+) -> tuple[float | None, Array | None, Array | None, float | None]:
+    """One corrector step from zeta: (r0, new zeta, F there, its norm).
+
+    The one place a step failure is caught; none is raised.  A fresh
+    sequence has not been stepped and carries no residual, so F is first
+    evaluated at its predictor zeta and r0 is its norm (r0 is None
+    otherwise).  A fresh predictor whose residual is non-finite returns
+    (inf, None, None, None) and is not stepped.  A failed step, or a
+    non-finite residual at the new iterate, returns (r0, None, None,
+    None).  f is F(zeta) when the caller holds it, or None.
+    """
+    r0 = None
+    if fresh:
+        try:
+            f = evaluate_residual(problem, zeta)
+        except EvaluationError:
+            return math.inf, None, None, None
+        r0 = math.sqrt(f.dot(f))
+    try:
+        new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
+        new_f = evaluate_residual(problem, new_zeta)
+    except (CorrectorFailure, EvaluationError):
+        return r0, None, None, None
+    return r0, new_zeta, new_f, math.sqrt(new_f.dot(new_f))
+
+
 def correct(
     problem: ProblemDefinition,
     zeta: Array,
@@ -189,26 +217,21 @@ def correct(
     h: float,
     params: RunParams,
 ) -> tuple[CurvePoint | None, int]:
-    """Iterate the corrector from zeta until the residual meets tolerance.
+    """Step from the predictor zeta until the residual meets tolerance.
 
     Returns the converged point, or None when max_iter steps do not
-    converge or a step or residual evaluation fails, together with the
-    number of corrector steps completed.  The residual evaluated after
-    each step is handed to the next one.
+    converge or a step fails, together with the steps counted by the
+    tree's rule: a step counts once the corrector has been called, and a
+    non-finite predictor never counts.
     """
-    steps = 0
     f = None
-    try:
-        for _ in range(params.max_iter):
-            zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
-            steps += 1
-            f = evaluate_residual(problem, zeta)
-            r = math.sqrt(f.dot(f))
-            if r <= params.tol_residual:
-                return CurvePoint(zeta, r), steps
-    except (CorrectorFailure, EvaluationError):
-        pass
-    return None, steps
+    for steps in range(1, params.max_iter + 1):
+        r0, zeta, f, r = step(problem, zeta, tangent, z_base, h, f, steps == 1)
+        if zeta is None:
+            return None, 0 if r0 == math.inf else steps
+        if r <= params.tol_residual:
+            return CurvePoint(zeta, r), steps
+    return None, params.max_iter
 
 
 def emit_point(
@@ -328,40 +351,6 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
     return spawned
 
 
-def _step_task(
-    problem: ProblemDefinition,
-    zeta: Array,
-    tangent: Array,
-    z_base: Array,
-    h: float,
-    f: Array | None,
-    fresh: bool,
-) -> tuple[float | None, Array | None, Array | None, float | None]:
-    """One corrector step from zeta: (r0, new zeta, F there, its norm).
-
-    A fresh node has not been stepped and carries no residual, so F is
-    first evaluated at its predictor and r0 is its norm (r0 is None for
-    other nodes).  A fresh node whose predictor is non-finite returns
-    (inf, None, None, None) and takes no step; one whose step fails
-    returns (r0, None, None, None).  Other nodes' step failures raise.
-    """
-    r0 = None
-    if fresh:
-        try:
-            f = evaluate_residual(problem, zeta)
-        except EvaluationError:
-            return math.inf, None, None, None
-        r0 = math.sqrt(f.dot(f))
-    try:
-        new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
-        new_f = evaluate_residual(problem, new_zeta)
-    except (CorrectorFailure, EvaluationError):
-        if not fresh:
-            raise
-        return r0, None, None, None
-    return r0, new_zeta, new_f, math.sqrt(new_f.dot(new_f))
-
-
 def corrector_round(
     root: TreeNode,
     problem: ProblemDefinition,
@@ -370,25 +359,23 @@ def corrector_round(
 ) -> int:
     """One synchronized corrector iteration on every unfinished node.
 
-    All RED and YELLOW nodes receive exactly one corrector step, computed
+    All RED and YELLOW nodes receive exactly one step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
-    A fresh node's residual at its predictor is evaluated in its task;
+    A fresh node's residual at its predictor is evaluated in its step;
     a non-finite one turns the node BLACK without a step.  Each step
     starts from the node's residual and leaves the residual at its new
     iterate on the node.  Results are applied in traversal order:
     residual history shifts, the iteration count increments, and the
     node is recolored.  A failed step turns the node BLACK.  Returns the
-    number of steps executed.
+    steps counted by the rule of correct.
     """
     targets = unfinished_nodes(root)
     tasks = [
         (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual, n.nu == 0)
         for n in targets
     ]
-    outcomes = pool.map(_step_task, tasks)
     steps = len(targets)
-    for node, (ok, payload) in zip(targets, outcomes):
-        r0, zeta, f, r = payload if ok else (None, None, None, None)
+    for node, (r0, zeta, f, r) in zip(targets, pool.map(step, tasks)):
         if r0 is not None:
             node.residual_norm_current = r0
             if r0 == math.inf:

@@ -74,27 +74,17 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
                     raise ParameterError(
                         f"{path.name}:{lineno}: bad scaling key {key!r}"
                     )
-                index = int(suffix)
-                if index in scalings:
-                    raise ParameterError(
-                        f"{path.name}:{lineno}: duplicate key {key!r}"
-                    )
-                try:
-                    scalings[index] = float(text)
-                except ValueError as exc:
-                    raise ParameterError(
-                        f"{path.name}:{lineno}: bad value for {key}: {text!r}"
-                    ) from exc
-                continue
-            if key not in _INT_KEYS and key not in _FLOAT_KEYS:
+                table, slot, convert = scalings, int(suffix), float
+            elif key in _INT_KEYS:
+                table, slot, convert = seen, key, int
+            elif key in _FLOAT_KEYS:
+                table, slot, convert = seen, key, float
+            else:
                 raise ParameterError(f"{path.name}:{lineno}: unknown key {key!r}")
-            if key in seen:
+            if slot in table:
                 raise ParameterError(f"{path.name}:{lineno}: duplicate key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    seen[key] = int(text)
-                else:
-                    seen[key] = float(text)
+                table[slot] = convert(text)
             except ValueError as exc:
                 raise ParameterError(
                     f"{path.name}:{lineno}: bad value for {key}: {text!r}"

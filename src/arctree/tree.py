@@ -158,6 +158,26 @@ def breadth_first_leaves(root: TreeNode) -> list[tuple[TreeNode, int]]:
     return leaves
 
 
+def _extend(
+    node: TreeNode, child: TreeNode, sub: PathMetrics, best: PathMetrics | None
+) -> PathMetrics | None:
+    """The chain from node through child's chain sub if it beats best.
+
+    The chain adds node's seed step to sub's length; its cost is node's
+    own iteration count or sub's cost aged by child's spawn round,
+    whichever is larger.  It beats best on a larger length, or on an
+    equal length at a smaller cost; otherwise best is returned, so ties
+    go to the earlier child.
+    """
+    length = abs(node.h_init) + sub.length
+    cost = max(node.nu, sub.cost + child.nu_init)
+    if best is None or length > best.length or (
+        length == best.length and cost < best.cost
+    ):
+        return PathMetrics(length, cost, [node] + sub.nodes)
+    return best
+
+
 def _path_table(
     root: TreeNode,
 ) -> dict[TreeNode, tuple[PathMetrics | None, PathMetrics | None]]:
@@ -181,14 +201,8 @@ def _path_table(
             best = PathMetrics(abs(node.h_init), node.nu, [node])
             for child in node.children:
                 sub = table[child][0 if pick_valid else 1]
-                if sub is None:
-                    continue
-                length = abs(node.h_init) + sub.length
-                cost = max(node.nu, sub.cost + child.nu_init)
-                if length > best.length or (
-                    length == best.length and cost < best.cost
-                ):
-                    best = PathMetrics(length, cost, [node] + sub.nodes)
+                if sub is not None:
+                    best = _extend(node, child, sub, best)
             return best
 
         valid = best_chain(node.color is Color.GREEN, True)
@@ -278,19 +292,9 @@ def prune_tree(root: TreeNode, params: RunParams) -> None:
             viable_child = viable.nodes[1]
             alternative = None
             for child in node.children:
-                if child is viable_child or child.color is not Color.GREEN:
-                    continue
-                sub = table[child][0]
-                if sub is None:
-                    continue
-                length = abs(node.h_init) + sub.length
-                cost = max(node.nu, sub.cost + child.nu_init)
-                candidate = PathMetrics(length, cost, [node] + sub.nodes)
-                if alternative is None or (
-                    candidate.length,
-                    -candidate.cost,
-                ) > (alternative.length, -alternative.cost):
-                    alternative = candidate
+                # A GREEN child always roots a valid chain.
+                if child is not viable_child and child.color is Color.GREEN:
+                    alternative = _extend(node, child, table[child][0], alternative)
             best = viable
             if alternative is not None:
                 best = choose_best_path(alternative, viable)

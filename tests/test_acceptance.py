@@ -128,13 +128,8 @@ def test_criterion_2_degenerate_tree_matches_serial():
     serial = serial_pac(circle_problem(), params, CIRCLE_START, step_growth=False)
     a = np.array([p.z for p in tree.accepted_points])
     b = np.array([p.z for p in serial.accepted_points])
-    assert a.shape == b.shape
-    diff = np.abs(a - b).max()
-    assert diff <= 1e-12
-    print(
-        f"PASS criterion 2: degenerate tree == serial, "
-        f"{len(a)} points, max |diff| = {diff:.1e}"
-    )
+    assert np.array_equal(a, b)
+    print(f"PASS criterion 2: degenerate tree == serial, {len(a)} points, bit-exact")
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,14 @@ def test_workers_below_one_is_a_usage_error(circle_args, tmp_path, capsys, worke
     assert not (tmp_path / "curve.txt").exists()
 
 
+def not_a_problem():
+    return 42
+
+
 def test_unknown_problem_plugin_is_rejected(circle_args, capsys):
-    assert main(circle_args("--problem", "no.such.module:thing")) == 2
-    assert "arctree:" in capsys.readouterr().err
+    for spec in ("no.such.module:thing", "sphere", "test_cli:not_a_problem"):
+        assert main(circle_args("--problem", spec)) == 2
+        assert "arctree:" in capsys.readouterr().err
 
 
 def circle_in_three_dims():
@@ -273,7 +278,11 @@ def test_problem_plugin_via_module_attr(circle_args, tmp_path):
     assert len(curve) >= 10
 
 
-def test_budget_override_changes_the_run(circle_args, tmp_path):
+def test_budget_override_changes_the_run(circle_args, tmp_path, capsys):
+    # A budget below one is a usage error.
+    assert main(circle_args("--budget", "0")) == 2
+    assert "arctree:" in capsys.readouterr().err
+    assert not (tmp_path / "curve.txt").exists()
     # A budget of 3 lets each round try only one leaf's scalings, so the
     # tree explores differently than the default budget of 12.
     assert main(circle_args("--budget", "3", "--workers", "2")) == 0

@@ -9,7 +9,6 @@ import pytest
 from arctree import (
     BootstrapError,
     CorrectorFailure,
-    EvaluationError,
     ProblemDefinition,
     TerminationReason,
     circle_problem,
@@ -210,22 +209,41 @@ def test_corrector_round_steps_only_unfinished_nodes():
         )
 
 
-def test_corrector_round_blackens_failed_steps():
+def refusing_problem() -> ProblemDefinition:
+    """A finite residual and a corrector that always raises CorrectorFailure."""
+
     def corrector(zeta, tangent, z_base, h):
         raise CorrectorFailure("no progress")
 
-    problem = ProblemDefinition(
+    return ProblemDefinition(
         n_dim=2,
         lambda_index=1,
         residual=lambda z: np.array([z[0]]),
         corrector=corrector,
     )
+
+
+def test_corrector_round_blackens_failed_steps():
+    problem = refusing_problem()
     params = make_params()
     root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
     child = make_node(Color.RED, nu=0, h_init=0.1, residual=0.5)
     root.children = [child]
     corrector_round(root, problem, params, WorkerPool(1))
     assert child.color is Color.BLACK
+
+
+def test_a_raising_corrector_costs_one_step_in_correct_and_in_a_round():
+    # One count rule: a step counts once the corrector has been called.
+    problem = refusing_problem()
+    params = make_params()
+    axis = np.array([0.0, 1.0])
+    point, steps = correct(problem, np.ones(2), axis, np.zeros(2), 0.1, params)
+    assert point is None
+    assert steps == 1
+    root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
+    root.children = [make_node(Color.RED, nu=0, h_init=0.1)]
+    assert corrector_round(root, problem, params, WorkerPool(1)) == 1
 
 
 def nan_beyond_problem() -> ProblemDefinition:
@@ -265,21 +283,14 @@ def test_non_finite_predictor_blackens_only_its_child():
 def test_worker_pool_returns_results_in_task_order(n_workers, n_tasks):
     served_by = {}
 
-    def fn(i):
+    def fn(i, scale):
         served_by[i] = threading.get_ident()
-        if i % 3 == 1:
-            raise EvaluationError("boom")
-        return i * 10
+        return i * scale
 
-    tasks = [(i,) for i in range(n_tasks)]
+    tasks = [(i, 10) for i in range(n_tasks)]
     with WorkerPool(n_workers) as pool:
-        outcomes = pool.map(fn, tasks)
-    assert len(outcomes) == n_tasks
-    for i, (ok, payload) in enumerate(outcomes):
-        if i % 3 == 1:
-            assert not ok and isinstance(payload, EvaluationError)
-        else:
-            assert ok and payload == i * 10
+        results = pool.map(fn, tasks)
+    assert results == [i * 10 for i in range(n_tasks)]
     if n_tasks:
         assert served_by[0] == threading.get_ident()
     assert len(set(served_by.values())) <= n_workers
@@ -287,15 +298,25 @@ def test_worker_pool_returns_results_in_task_order(n_workers, n_tasks):
 
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_worker_pool_propagates_other_errors_from_a_helper(n_workers):
-    def fn(i):
-        if i == 4:
-            raise ValueError("contract error")
-        return i
+    # Each raising task is the last of its slice: task 4 ends the last
+    # helper's slice, task 5 // n_workers - 1 the caller's.  The error
+    # propagates only after every other task has run.  The pool catches
+    # step failures no more than contract errors.
+    n_tasks = 5
+    for failing in (n_tasks - 1, n_tasks // n_workers - 1):
+        for error in (ValueError("contract error"), CorrectorFailure("no step")):
+            served = set()
 
-    tasks = [(i,) for i in range(5)]  # task 4 is in the last, helper's slice
-    with WorkerPool(n_workers) as pool:
-        with pytest.raises(ValueError, match="contract error"):
-            pool.map(fn, tasks)
+            def fn(i):
+                served.add(i)
+                if i == failing:
+                    raise error
+                return i
+
+            with WorkerPool(n_workers) as pool:
+                with pytest.raises(type(error), match=str(error)):
+                    pool.map(fn, [(i,) for i in range(n_tasks)])
+            assert served == set(range(n_tasks))
 
 
 # ---------------------------------------------------------------------------

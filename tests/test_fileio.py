@@ -115,24 +115,41 @@ def test_parse_accepts_comments_and_blank_lines(tmp_path):
     assert params.verbose == 0  # VERBOSE is optional
 
 
-def test_parse_rejects_unknown_key(tmp_path):
-    path = write_lines(tmp_path, valid_lines() + ["WIDGET 3"])
-    with pytest.raises(ParameterError, match=r"bad\.params:\d+.*WIDGET"):
+def parse_error(tmp_path, lines) -> str:
+    """The ParameterError message for a file of these lines."""
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(ParameterError) as info:
         parse_parameters(path)
+    return str(info.value)
+
+
+def test_parse_rejects_unknown_key(tmp_path):
+    for line, message in [
+        ("WIDGET 3", "unknown key 'WIDGET'"),
+        ("SCALE_PROCESS_x 1.0", "bad scaling key 'SCALE_PROCESS_x'"),
+    ]:
+        lines = valid_lines() + [line]
+        assert parse_error(tmp_path, lines) == f"bad.params:{len(lines)}: {message}"
 
 
 def test_parse_rejects_duplicate_key(tmp_path):
-    path = write_lines(tmp_path, valid_lines() + ["MU 0.25"])
-    with pytest.raises(ParameterError, match=r"duplicate key 'MU'"):
-        parse_parameters(path)
+    # SCALE_PROCESS_00 names the same slot as SCALE_PROCESS_0.
+    for line in ["MU 0.25", "SCALE_PROCESS_0 1.0", "SCALE_PROCESS_00 1.0"]:
+        key = line.split()[0]
+        lines = valid_lines() + [line]
+        assert parse_error(tmp_path, lines) == (
+            f"bad.params:{len(lines)}: duplicate key {key!r}"
+        )
 
 
 def test_parse_rejects_bad_value(tmp_path):
-    lines = valid_lines()
-    lines[lines.index("MAX_ITER 6")] = "MAX_ITER six"
-    path = write_lines(tmp_path, lines)
-    with pytest.raises(ParameterError, match=r"bad value for MAX_ITER"):
-        parse_parameters(path)
+    for key, text in [("MAX_ITER", "six"), ("SCALE_PROCESS_0", "abc")]:
+        lines = valid_lines()
+        index = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
+        lines[index] = f"{key} {text}"
+        assert parse_error(tmp_path, lines) == (
+            f"bad.params:{index + 1}: bad value for {key}: {text!r}"
+        )
 
 
 def test_parse_rejects_malformed_line(tmp_path):

@@ -172,6 +172,12 @@ def test_corrector_requires_jacobian_or_custom():
         corrector_step(
             problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
         )
+    # A Jacobian of the wrong shape is a contract error too.
+    problem.jacobian = lambda z: np.ones((2, 2))
+    with pytest.raises(ValueError, match="jacobian has shape"):
+        corrector_step(
+            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+        )
 
 
 def test_custom_corrector_dispatch():
@@ -202,6 +208,12 @@ def test_custom_corrector_output_checked():
         corrector=lambda zeta, tangent, z_base, h: np.array([np.inf, 0.0]),
     )
     with pytest.raises(CorrectorFailure):
+        corrector_step(
+            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+        )
+    # A wrong shape is a contract error, not a step failure.
+    problem.corrector = lambda zeta, tangent, z_base, h: np.zeros(3)
+    with pytest.raises(ValueError, match="corrector returned shape"):
         corrector_step(
             problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
         )
