@@ -14,8 +14,13 @@ from continues.  A plain march cannot cross a pitchfork, so a small
 sin(x) forcing is switched on to unfold it, the forced branch is marched
 to the target viscosity, and the forcing is then relaxed to zero.
 
-All arithmetic is deterministic (no randomness), so the emitted file is
-reproducible bit for bit.  Run from anywhere:
+The residual and Jacobian are the solver's own: the PDE rows of
+problems.ks_residual and the (w, w) block of problems.ks_jacobian, both
+at c = 0; only the forcing term is added here.  All arithmetic is
+deterministic (no randomness), so a run repeats its output bit for bit
+on one machine.  Another numpy, BLAS or CPU may round differently and
+land within about 1e-9 of the packaged profile instead.  Run from
+anywhere:
 
     python3 scripts/make_ks_start.py [--n 128] [--lam 0.1828] [--check]
 
@@ -33,8 +38,8 @@ from arctree.problems import (
     KsConfig,
     data_path,
     grid,
+    ks_jacobian,
     ks_residual,
-    spectral_operators,
 )
 
 BIRTH_MARGIN = 0.02  # start this far below the wave-number-two onset
@@ -43,66 +48,57 @@ FORCING = 0.5
 TARGET_RESIDUAL = 5e-8
 
 
-def stationary_residual(w, lam, amplitude, forcing, ops, x):
-    d1, d2, d4, dealias = ops
-    r = dealias @ (w * (d1 @ w)) + d2 @ w + lam * (d4 @ w) - amplitude * np.sin(w)
-    if forcing:
-        r = r + forcing * np.sin(x)
-    return r
+def state(w, lam):
+    """The full state (w, c, lambda) at c = 0."""
+    return np.concatenate([w, [0.0, lam]])
 
 
-def stationary_jacobian(w, lam, amplitude, ops):
-    d1, d2, d4, dealias = ops
-    d1w = d1 @ w
-    return (
-        dealias @ (np.diag(d1w) + w[:, None] * d1)
-        + d2
-        + lam * d4
-        - amplitude * np.diag(np.cos(w))
-    )
+def pde_residual(config, w, lam, forcing, x):
+    """The PDE rows of ks_residual at c = 0, plus the unfolding forcing."""
+    return ks_residual(config, state(w, lam))[: config.n_grid] + forcing * np.sin(x)
 
 
-def solve_odd(w, lam, amplitude, ops, basis, project, x, forcing=0.0, itmax=30):
+def pde_jacobian(config, w, lam):
+    """The (w, w) block of ks_jacobian at c = 0."""
+    n = config.n_grid
+    return ks_jacobian(config, state(w, lam))[:n, :n]
+
+
+def solve_odd(w, lam, config, basis, project, x, forcing=0.0, itmax=30):
     """Newton in the odd (sine) subspace, which removes the translation
     null direction; returns the refined profile and its residual norm."""
     best = np.inf
     for _ in range(itmax):
-        r = stationary_residual(w, lam, amplitude, 0.0, ops, x) + forcing * np.sin(x)
+        r = pde_residual(config, w, lam, forcing, x)
         norm = float(np.linalg.norm(r))
         if norm < TARGET_RESIDUAL or norm >= best:
             break
         best = norm
-        reduced = project @ stationary_jacobian(w, lam, amplitude, ops) @ basis
+        reduced = project @ pde_jacobian(config, w, lam) @ basis
         w = w - basis @ np.linalg.solve(reduced, project @ r)
-    return w, float(
-        np.linalg.norm(
-            stationary_residual(w, lam, amplitude, 0.0, ops, x) + forcing * np.sin(x)
-        )
-    )
+    return w, float(np.linalg.norm(pde_residual(config, w, lam, forcing, x)))
 
 
 def build_start(n: int, lam_target: float, amplitude: float) -> np.ndarray:
     x = grid(n)
-    ops = spectral_operators(n)
+    config = KsConfig(n_grid=n, amplitude=amplitude)
     m = n // 2 - 1
     basis = np.array([np.sin((k + 1) * x) for k in range(m)]).T
     project = (2.0 / n) * basis.T  # sine modes are orthogonal on the grid
 
     lam = (amplitude + 4.0) / 16.0 - BIRTH_MARGIN
     w = 0.5 * np.sin(2 * x)
-    w, _ = solve_odd(w, lam, amplitude, ops, basis, project, x)
+    w, _ = solve_odd(w, lam, config, basis, project, x)
 
     for lam in np.arange(lam, PITCHFORK_SAFE - 1e-12, -0.01):
-        w, _ = solve_odd(w, lam, amplitude, ops, basis, project, x)
+        w, _ = solve_odd(w, lam, config, basis, project, x)
 
     for lam in np.arange(PITCHFORK_SAFE, lam_target - 1e-12, -0.005):
-        w, _ = solve_odd(
-            w, lam, amplitude, ops, basis, project, x, forcing=FORCING
-        )
+        w, _ = solve_odd(w, lam, config, basis, project, x, forcing=FORCING)
 
     for forcing in (0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.0):
         w, norm = solve_odd(
-            w, lam_target, amplitude, ops, basis, project, x, forcing=forcing
+            w, lam_target, config, basis, project, x, forcing=forcing
         )
     if norm > TARGET_RESIDUAL:
         raise SystemExit(f"final polish stalled at residual {norm:.2e}")
@@ -136,7 +132,7 @@ def main() -> int:
         return 0 if norm < 5e-7 else 1
 
     w = build_start(args.n, args.lam, args.amplitude)
-    z = np.concatenate([w, [0.0, args.lam]])
+    z = state(w, args.lam)
     config = KsConfig(
         n_grid=args.n, amplitude=args.amplitude, reference_profile=w
     )

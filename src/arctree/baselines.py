@@ -3,7 +3,8 @@ predictor-corrector arclength stepping.
 
 Both are deliberately simple single-branch loops.  They exist as
 correctness baselines (the tree engine must reproduce the arclength
-stepper exactly when its tree is one node wide and one level deep) and
+stepper exactly when its tree is one node wide and one level deep and
+h_max equals |h_init|, so the stepper never grows its step) and
 as the comparison column for benchmark runs.
 """
 
@@ -87,19 +88,18 @@ def serial_pac(
     problem: ProblemDefinition,
     params: RunParams,
     initial_point: Array,
-    step_growth: bool = True,
     sink: Sink | None = None,
 ) -> SerialTrace:
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
     Each attempt predicts along the unit secant of the last two points,
     or the previous direction when that secant is degenerate, as the
-    tree does, and runs up to max_iter corrector iterations.
-    On success the step doubles (capped at h_max) unless step_growth is
-    off; on failure it halves.  The run ends by stop_reason on the last
-    point, the step and the attempts made, or when an accepted point
-    fails re-verification.  Accepted points, the start included, are
-    emitted through emit_point as in the tree engine.
+    tree does, and runs up to max_iter corrector iterations.  On success
+    the step doubles, capped at h_max; on failure it halves.  The run
+    ends by stop_reason on the last point, the step and the attempts
+    made, or when an accepted point fails re-verification.  Accepted
+    points, the start included, are emitted through emit_point as in the
+    tree engine.
     """
     point0, tangent = bootstrap(problem, params, initial_point)
     accepted: list[CurvePoint] = []
@@ -126,8 +126,7 @@ def serial_pac(
                 tangent = secant
             emit_point(problem, params, point, accepted, sink)
             z = point.z
-            if step_growth:
-                h = min(2.0 * h, params.h_max)
+            h = min(2.0 * h, params.h_max)
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return SerialTrace(accepted, steps, failures, reason)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -112,8 +113,13 @@ def resolve_problem(
     if ":" in spec:
         module_name, attr = spec.split(":", 1)
         module = importlib.import_module(module_name)
-        obj = getattr(module, attr)
-        problem = obj() if callable(obj) and not isinstance(obj, ProblemDefinition) else obj
+        problem = getattr(module, attr)
+        if callable(problem) and not isinstance(problem, ProblemDefinition):
+            try:
+                inspect.signature(problem).bind()
+            except TypeError:
+                raise ValueError(f"{spec} cannot be called without arguments") from None
+            problem = problem()
         if not isinstance(problem, ProblemDefinition):
             raise ValueError(f"{spec} did not produce a ProblemDefinition")
         return problem

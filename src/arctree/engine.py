@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -68,10 +68,6 @@ class ContinuationResult:
     rounds_executed: int
     corrector_steps_total: int
     nodes_failed: int = 0
-
-
-class EmissionError(EvaluationError):
-    """An accepted point failed re-verification at emission."""
 
 
 Sink = Callable[[CurvePoint], None]
@@ -245,14 +241,13 @@ def emit_point(
 
     The problem's on_accept hook runs first, so the residual is checked
     against the refreshed problem; a point that fails raises an
-    EvaluationError (EmissionError when the residual is finite but above
-    tolerance) and is neither recorded nor passed to the sink.
+    EvaluationError and is neither recorded nor passed to the sink.
     """
     if problem.on_accept is not None:
         problem.on_accept(point.z)
     r = residual_norm(problem, point.z)
     if r > params.tol_residual:
-        raise EmissionError(
+        raise EvaluationError(
             f"accepted point failed re-verification: residual {r:.3e}"
         )
     verified = CurvePoint(point.z, r)
@@ -295,7 +290,7 @@ def bootstrap(
 
 
 def make_root(point: CurvePoint, direction: Array, params: RunParams) -> TreeNode:
-    """Tree root for a fresh run: a converged point with a stored tangent."""
+    """Tree root for a fresh run: z_init is zeta, so it seeds along direction."""
     return TreeNode(
         zeta=point.z.copy(),
         z_init=point.z.copy(),
@@ -314,12 +309,11 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
 
     Leaves are visited breadth first; only leaves above the depth cap
     spawn.  Each leaf seeds one child per scaling, in ascending scaling
-    order, from its current iterate along its secant direction (the
-    stored tangent for the root, or the seed direction again when the
-    secant is degenerate).  Children whose step magnitude would exceed
-    h_max are skipped.  Spawning stops when the budget is exhausted.
-    Returns the number of children created.  A child's residual is
-    evaluated in its first corrector round, not here.
+    order, from its current iterate along its secant_direction: one rule
+    for every leaf, the root included.  Children whose step magnitude
+    would exceed h_max are skipped.  Spawning stops when the budget is
+    exhausted.  Returns the number of children created.  A child's
+    residual is evaluated in its first corrector round, not here.
     """
     if budget <= 0:
         return 0
@@ -329,7 +323,7 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
             break
         if depth >= params.max_depth:
             continue
-        direction = leaf.t_init if leaf is root else secant_direction(leaf)
+        direction = secant_direction(leaf)
         for scale in sorted(params.scalings):
             if spawned >= budget:
                 break
@@ -395,9 +389,9 @@ def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
     """Move the root down the confirmed chain, emitting accepted points.
 
     While the root has exactly one child and that child is GREEN, the
-    root's point is emitted and the child becomes the new root.  The new
-    root's stored tangent is the secant from its predecessor (its seed
-    direction is kept when the secant is degenerate).  Returns the new
+    root's point is emitted and the child becomes the new root.  Nothing
+    steps a GREEN node, so the new root seeds its children along the
+    secant from its predecessor, as every leaf does.  Returns the new
     root and the number of points emitted.
     """
     emitted = 0
@@ -405,7 +399,6 @@ def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
         child = root.children[0]
         emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         root.children = []
-        child.t_init = secant_direction(child)
         root = child
         emitted += 1
     return root, emitted

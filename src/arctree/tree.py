@@ -50,8 +50,8 @@ class TreeNode:
 
     zeta is the current iterate; z_init and t_init are the seed point and
     unit seed direction, so at spawn time zeta = z_init + h_init * t_init.
-    For the current root, t_init holds the stored traversal tangent used
-    to seed new children.  nu counts corrector iterations applied to this
+    Every leaf, the root included, seeds its children along its
+    secant_direction.  nu counts corrector iterations applied to this
     node; nu_init records the parent's iteration count at spawn time.
     h_base is the adaptive base step scaled to seed this node's children
     and only shrinks when all of them diverge.  residual_norm_previous is
@@ -295,10 +295,7 @@ def prune_tree(root: TreeNode, params: RunParams) -> None:
                 # A GREEN child always roots a valid chain.
                 if child is not viable_child and child.color is Color.GREEN:
                     alternative = _extend(node, child, table[child][0], alternative)
-            best = viable
-            if alternative is not None:
-                best = choose_best_path(alternative, viable)
-            keep = best.nodes[1]
+            keep = choose_best_path(alternative, viable).nodes[1]
         node.children = [
             c for c in node.children if c is keep or c.color is Color.RED
         ]

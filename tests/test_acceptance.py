@@ -118,14 +118,17 @@ def test_criterion_1_fold_traversal():
 
 # ---------------------------------------------------------------------------
 # Criterion 2: a one-child one-level tree with unit scaling reproduces the
-# serial stepper without growth, point for point.
+# serial stepper point for point when h_max = |h_init|, so neither grows
+# its step.
 # ---------------------------------------------------------------------------
 
 
 def test_criterion_2_degenerate_tree_matches_serial():
-    params = make_params(max_depth=1, max_children=1, scalings=(1.0,))
+    params = make_params(
+        max_depth=1, max_children=1, scalings=(1.0,), h_init=0.1, h_max=0.1
+    )
     tree = run_continuation(circle_problem(), params, CIRCLE_START)
-    serial = serial_pac(circle_problem(), params, CIRCLE_START, step_growth=False)
+    serial = serial_pac(circle_problem(), params, CIRCLE_START)
     a = np.array([p.z for p in tree.accepted_points])
     b = np.array([p.z for p in serial.accepted_points])
     assert np.array_equal(a, b)

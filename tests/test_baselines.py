@@ -1,5 +1,7 @@
 """Natural continuation and the serial arclength stepper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,9 @@ def test_serial_passes_where_natural_stalls():
 
 def test_serial_growth_covers_curve_with_fewer_points():
     params = make_params()
-    grown = serial_pac(circle_problem(), params, Z0, step_growth=True)
-    flat = serial_pac(circle_problem(), params, Z0, step_growth=False)
+    grown = serial_pac(circle_problem(), params, Z0)
+    # h_max = |h_init| leaves the step no room to grow
+    flat = serial_pac(circle_problem(), replace(params, h_max=params.h_init), Z0)
     assert grown.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     assert flat.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     assert len(grown.accepted_points) < len(flat.accepted_points)

@@ -243,7 +243,12 @@ def not_a_problem():
 
 
 def test_unknown_problem_plugin_is_rejected(circle_args, capsys):
-    for spec in ("no.such.module:thing", "sphere", "test_cli:not_a_problem"):
+    for spec in (
+        "no.such.module:thing",
+        "sphere",
+        "test_cli:not_a_problem",
+        "arctree.problems:grid",  # a factory that needs an argument
+    ):
         assert main(circle_args("--problem", spec)) == 2
         assert "arctree:" in capsys.readouterr().err
 

@@ -30,7 +30,13 @@ from arctree.engine import (
     stop_reason,
 )
 from arctree.problem import bordered_newton_step
-from arctree.tree import Color, count_nodes, iter_nodes, prune_tree
+from arctree.tree import (
+    Color,
+    count_nodes,
+    iter_nodes,
+    prune_tree,
+    secant_direction,
+)
 from conftest import make_node, make_params
 from test_baselines import linear_problem
 
@@ -341,9 +347,11 @@ def test_advance_root_walks_single_green_chain():
     assert count == 1
     assert new_root is mid
     assert [p.z[1] for p in emitted] == [0.0]
-    # the new root's stored direction is the secant that produced it
+    # the new root seeds along the secant that produced it
     secant = mid.zeta - mid.z_init
-    assert new_root.t_init == pytest.approx(secant / np.linalg.norm(secant))
+    assert secant_direction(new_root) == pytest.approx(
+        secant / np.linalg.norm(secant)
+    )
     # a YELLOW child stops the walk
     assert new_root.children == [tip]
 
@@ -400,16 +408,6 @@ def test_circle_run_traverses_both_folds():
     # every accepted transition is a genuine positive step
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert gaps.min() > 0.0
-
-
-def test_run_matches_serial_when_tree_is_degenerate():
-    params = make_params(max_depth=1, max_children=1, scalings=(1.0,))
-    tree = run_continuation(circle_problem(), params, Z0)
-    serial = serial_pac(circle_problem(), params, Z0, step_growth=False)
-    a = np.array([p.z for p in tree.accepted_points])
-    b = np.array([p.z for p in serial.accepted_points])
-    assert a.shape == b.shape
-    assert np.array_equal(a, b)
 
 
 def test_run_is_deterministic_across_worker_counts():
