@@ -9,7 +9,7 @@ classic adaptive arclength stepping) are included for validation and
 benchmarking.  Tree, round and operator internals live in their modules.
 """
 
-from .baselines import SerialTrace, natural_continuation, serial_pac
+from .baselines import natural_continuation, serial_pac
 from .engine import (
     BootstrapError,
     ContinuationResult,
@@ -49,7 +49,6 @@ __all__ = [
     "ParameterError",
     "ProblemDefinition",
     "RunParams",
-    "SerialTrace",
     "TerminationReason",
     "circle_problem",
     "data_path",

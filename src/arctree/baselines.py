@@ -5,16 +5,17 @@ Both are deliberately simple single-branch loops.  They exist as
 correctness baselines (the tree engine must reproduce the arclength
 stepper exactly when its tree is one node wide and one level deep and
 h_max equals |h_init|, so the stepper never grows its step) and
-as the comparison column for benchmark runs.
+as the comparison column for benchmark runs.  Both return the engine's
+ContinuationResult, with failed predictors as its failures and no
+rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import (
+    ContinuationResult,
     Sink,
     TerminationReason,
     bootstrap,
@@ -28,20 +29,12 @@ from .problem import Array, CurvePoint, EvaluationError, ProblemDefinition
 from .tree import unit_secant
 
 
-@dataclass
-class SerialTrace:
-    accepted_points: list[CurvePoint]
-    corrector_steps_total: int
-    failed_predictors: int
-    termination_reason: TerminationReason
-
-
 def natural_continuation(
     problem: ProblemDefinition,
     params: RunParams,
     initial_point: Array,
     sink: Sink | None = None,
-) -> SerialTrace:
+) -> ContinuationResult:
     """March the parameter itself, solving for the state at each value.
 
     The corrector direction is the parameter axis, so each step is a
@@ -81,7 +74,7 @@ def natural_continuation(
             z = point.z
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
-    return SerialTrace(accepted, steps, failures, reason)
+    return ContinuationResult(accepted, reason, steps, failures)
 
 
 def serial_pac(
@@ -89,7 +82,7 @@ def serial_pac(
     params: RunParams,
     initial_point: Array,
     sink: Sink | None = None,
-) -> SerialTrace:
+) -> ContinuationResult:
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
     Each attempt predicts along the unit secant of the last two points,
@@ -129,4 +122,4 @@ def serial_pac(
             h = min(2.0 * h, params.h_max)
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
-    return SerialTrace(accepted, steps, failures, reason)
+    return ContinuationResult(accepted, reason, steps, failures)

@@ -3,10 +3,12 @@
 Reads a parameter file and an initial point, runs the chosen
 continuation algorithm, and streams accepted points to
 ``<outdir>/curve.txt`` (one point per line, 17 significant digits).
-Exit status is 0 when the run swept the parameter to its window edge,
-2 for usage errors, unreadable inputs or an output directory that cannot
-take curve.txt, 1 for runs that stopped for any other reason.  The run
-holds BLAS to one thread (see ``blas``).
+With ``VERBOSE 2`` in the parameter file, a tree run also writes one
+Graphviz snapshot per round there.  The run ends with one summary line
+on stdout.  Exit status is 0 when the run swept the parameter to its
+window edge, 2 for usage errors, unreadable inputs or an output
+directory that cannot take curve.txt, 1 for runs that stopped for any
+other reason.  The run holds BLAS to one thread (see ``blas``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import importlib
 import inspect
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .baselines import natural_continuation, serial_pac
@@ -194,30 +197,24 @@ def main(argv: list[str] | None = None) -> int:
                 fh.flush()
 
             if args.algo == "pampac":
-                result = run_continuation(
-                    problem, params, z0, sink=writer,
-                    n_workers=args.workers, dot_dir=outdir,
-                )
-                reason = result.termination_reason
-                summary = (
-                    f"{len(result.accepted_points)} points, "
-                    f"{result.rounds_executed} rounds, "
-                    f"{result.corrector_steps_total} corrector steps, "
-                    f"{result.nodes_failed} failed nodes"
-                )
+                dot_dir = outdir if params.verbose >= 2 else None
+                run = partial(run_continuation, n_workers=args.workers, dot_dir=dot_dir)
             else:
                 run = serial_pac if args.algo == "serial-pac" else natural_continuation
-                trace = run(problem, params, z0, sink=writer)
-                reason = trace.termination_reason
-                summary = (
-                    f"{len(trace.accepted_points)} points, "
-                    f"{trace.corrector_steps_total} corrector steps, "
-                    f"{trace.failed_predictors} failed predictors"
-                )
+            result = run(problem, params, z0, sink=writer)
     except BootstrapError as exc:
         print(f"arctree: {exc}", file=sys.stderr)
         return 1
-    print(f"{summary}: {reason.value}")
+    # A baseline runs no rounds, and its failures are failed predictors.
+    tree = result.rounds_executed is not None
+    rounds = f"{result.rounds_executed} rounds, " if tree else ""
+    failed = "nodes" if tree else "predictors"
+    reason = result.termination_reason
+    print(
+        f"{len(result.accepted_points)} points, {rounds}"
+        f"{result.corrector_steps_total} corrector steps, "
+        f"{result.failures} failed {failed}: {reason.value}"
+    )
 
     return 0 if reason is TerminationReason.REACHED_LAMBDA_MAX else 1
 

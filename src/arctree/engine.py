@@ -63,11 +63,18 @@ class BootstrapError(RuntimeError):
 
 @dataclass
 class ContinuationResult:
+    """What the tree engine and both baselines return.
+
+    failures counts failed corrector sequences: BLACK nodes in the tree,
+    failed predictors in a baseline.  rounds_executed is None for a
+    baseline, which runs no rounds.
+    """
+
     accepted_points: list[CurvePoint]
     termination_reason: TerminationReason
-    rounds_executed: int
     corrector_steps_total: int
-    nodes_failed: int = 0
+    failures: int
+    rounds_executed: int | None = None
 
 
 Sink = Callable[[CurvePoint], None]
@@ -84,11 +91,13 @@ class WorkerPool:
     from any task propagates once every slice has finished.  n_workers
     == 1 runs inline.  While it has helper threads the pool holds BLAS
     to one thread.  Thread count never affects the results, only wall
-    time.
+    time.  n_workers below 1 raises ValueError.
     """
 
     def __init__(self, n_workers: int = 1):
-        self.n_workers = max(1, int(n_workers))
+        if n_workers < 1:
+            raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+        self.n_workers = int(n_workers)
         self._executor: ThreadPoolExecutor | None = None
         self._held = ExitStack()
 
@@ -178,20 +187,19 @@ def step(
     z_base: Array,
     h: float,
     f: Array | None,
-    fresh: bool,
 ) -> tuple[float | None, Array | None, Array | None, float | None]:
     """One corrector step from zeta: (r0, new zeta, F there, its norm).
 
-    The one place a step failure is caught; none is raised.  A fresh
-    sequence has not been stepped and carries no residual, so F is first
-    evaluated at its predictor zeta and r0 is its norm (r0 is None
-    otherwise).  A fresh predictor whose residual is non-finite returns
-    (inf, None, None, None) and is not stepped.  A failed step, or a
-    non-finite residual at the new iterate, returns (r0, None, None,
-    None).  f is F(zeta) when the caller holds it, or None.
+    The one place a step failure is caught; none is raised.  f is F(zeta)
+    when the caller holds it.  When f is None (a fresh predictor, or an
+    iterate whose residual an on_accept hook made stale) F is first
+    evaluated at zeta and r0 is its norm; r0 is None otherwise.  A
+    non-finite residual there returns (inf, None, None, None) and zeta is
+    not stepped.  A failed step, or a non-finite residual at the new
+    iterate, returns (r0, None, None, None).
     """
     r0 = None
-    if fresh:
+    if f is None:
         try:
             f = evaluate_residual(problem, zeta)
         except EvaluationError:
@@ -222,7 +230,7 @@ def correct(
     """
     f = None
     for steps in range(1, params.max_iter + 1):
-        r0, zeta, f, r = step(problem, zeta, tangent, z_base, h, f, steps == 1)
+        r0, zeta, f, r = step(problem, zeta, tangent, z_base, h, f)
         if zeta is None:
             return None, 0 if r0 == math.inf else steps
         if r <= params.tol_residual:
@@ -355,25 +363,25 @@ def corrector_round(
 
     All RED and YELLOW nodes receive exactly one step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
-    A fresh node's residual at its predictor is evaluated in its step;
-    a non-finite one turns the node BLACK without a step.  Each step
-    starts from the node's residual and leaves the residual at its new
-    iterate on the node.  Results are applied in traversal order:
-    residual history shifts, the iteration count increments, and the
-    node is recolored.  A failed step turns the node BLACK.  Returns the
-    steps counted by the rule of correct.
+    A node that carries no residual, fresh or stale, has it evaluated in
+    its step; a non-finite one turns the node BLACK without a step.  A
+    fresh node takes that residual's norm as its current one.  Each step
+    leaves the residual at its new iterate on the node.  Results are
+    applied in traversal order: residual history shifts, the iteration
+    count increments, and the node is recolored.  A failed step turns
+    the node BLACK.  Returns the steps counted by the rule of correct.
     """
     targets = unfinished_nodes(root)
     tasks = [
-        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual, n.nu == 0)
+        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual)
         for n in targets
     ]
     steps = len(targets)
     for node, (r0, zeta, f, r) in zip(targets, pool.map(step, tasks)):
-        if r0 is not None:
+        if r0 == math.inf:
+            steps -= 1
+        if node.nu == 0:
             node.residual_norm_current = r0
-            if r0 == math.inf:
-                steps -= 1
         if zeta is None:
             node.color = Color.BLACK
             continue
@@ -415,8 +423,8 @@ def run_continuation(
     """Trace the curve with the speculative tree until a stop condition.
 
     Each round: spawn within the free worker budget, apply one corrector
-    iteration to all unfinished nodes, write the tree snapshot when
-    verbose is at least 2, prune, advance the root.  Stops by stop_reason
+    iteration to all unfinished nodes, write the tree snapshot to dot_dir
+    when one is given, prune, advance the root.  Stops by stop_reason
     on the root's point, its base step and the rounds executed, or when a
     round can change nothing.  Points are emitted through emit_point, so
     the sink sees only re-verified points; the final root is emitted at
@@ -431,7 +439,7 @@ def run_continuation(
 
     rounds = 0
     steps_total = 0
-    nodes_failed = 0
+    failures = 0
     with WorkerPool(n_workers) as pool:
         point0, direction = bootstrap(problem, params, initial_point)
         root = make_root(point0, direction, params)
@@ -447,9 +455,9 @@ def run_continuation(
                 steps = corrector_round(root, problem, params, pool)
                 steps_total += steps
                 rounds += 1
-                if params.verbose >= 2 and dot_dir is not None:
+                if dot_dir is not None:
                     export_dot(root, rounds, dot_dir)
-                nodes_failed += sum(
+                failures += sum(
                     1 for n in iter_nodes(root) if n.color is Color.BLACK
                 )
                 prune_tree(root, params)
@@ -457,12 +465,6 @@ def run_continuation(
                 if emitted and problem.on_accept is not None:
                     for node in iter_nodes(root):
                         node.residual = None
-                if params.verbose >= 1 and emitted:
-                    lam = float(root.zeta[problem.lambda_index])
-                    print(
-                        f"round {rounds}: {emitted} point(s) accepted, "
-                        f"parameter {lam:.6g}"
-                    )
                 if spawned == 0 and steps == 0 and emitted == 0:
                     # Nothing can change from here on; give up now instead
                     # of spinning to the round limit.
@@ -471,10 +473,4 @@ def run_continuation(
             emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         except EvaluationError:
             reason = TerminationReason.EVALUATION_FAILURE
-    return ContinuationResult(
-        accepted_points=accepted,
-        termination_reason=reason,
-        rounds_executed=rounds,
-        corrector_steps_total=steps_total,
-        nodes_failed=nodes_failed,
-    )
+    return ContinuationResult(accepted, reason, steps_total, failures, rounds)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -25,7 +26,7 @@ class RunParams:
     total.  worker_budget is the number of logical corrector slots and is
     part of the algorithm (it bounds speculation); the number of threads
     that physically serve those slots is a separate execution detail and
-    never changes results.
+    never changes results.  Only the CLI reads verbose.
     """
 
     n_dim: int
@@ -63,6 +64,9 @@ class RunParams:
             raise bad("N_DIM must be at least 2")
         if not 0 <= self.lambda_index < self.n_dim:
             raise bad("LAMBDA_INDEX out of range")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise bad(f"{f.name.upper()} must be finite")
         if not self.lambda_min < self.lambda_max:
             raise bad("LAMBDA_MIN must be below LAMBDA_MAX")
         if self.delta_lambda == 0.0:
@@ -89,8 +93,9 @@ class RunParams:
             raise bad("MAX_CHILDREN must be at least 1")
         if len(self.scalings) != self.max_children:
             raise bad("one scaling is required per speculative child")
-        if any(t <= 0.0 for t in self.scalings):
-            raise bad("scalings must be positive")
+        for k, t in enumerate(self.scalings):
+            if not 0.0 < t < math.inf:
+                raise bad(f"SCALE_PROCESS_{k} must be positive and finite")
         if self.verbose < 0:
             raise bad("VERBOSE must be nonnegative")
         if self.worker_budget is not None and self.worker_budget < 1:

@@ -275,9 +275,9 @@ def test_criterion_6_rounds_vs_serial_steps(tmp_path):
     lines = [
         f"{'algorithm':<10} {'points':>8} {'rounds':>8} {'steps':>8} {'failures':>9}",
         f"{'tree':<10} {len(tree.accepted_points):>8} {tree.rounds_executed:>8} "
-        f"{tree.corrector_steps_total:>8} {tree.nodes_failed:>9}",
+        f"{tree.corrector_steps_total:>8} {tree.failures:>9}",
         f"{'serial':<10} {len(serial.accepted_points):>8} {'-':>8} "
-        f"{serial.corrector_steps_total:>8} {serial.failed_predictors:>9}",
+        f"{serial.corrector_steps_total:>8} {serial.failures:>9}",
     ]
     table = "\n".join(lines)
     (tmp_path / "rounds_vs_serial.txt").write_text(table + "\n", encoding="utf-8")

@@ -40,7 +40,7 @@ def test_natural_walks_a_fold_free_branch():
     lams = [p.z[1] for p in trace.accepted_points]
     assert lams == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert [p.z[0] for p in trace.accepted_points] == pytest.approx(lams)
-    assert trace.failed_predictors == 0
+    assert trace.failures == 0
     assert trace.corrector_steps_total == 4
 
 
@@ -64,7 +64,7 @@ def test_natural_stalls_at_the_fold(tol, dlam):
     assert lams[-1] <= 1.0 + tol
     assert lams[-1] >= 1.0 - 1e-3
     assert xs.min() >= -1e-5  # the lower half of the circle is unreachable
-    assert trace.failed_predictors > 0
+    assert trace.failures > 0
 
 
 def test_natural_gets_closer_with_smaller_floor():
@@ -75,7 +75,7 @@ def test_natural_gets_closer_with_smaller_floor():
 
 def test_natural_step_accounting():
     trace = natural_continuation(circle_problem(), make_params(), Z0)
-    attempts = len(trace.accepted_points) - 1 + trace.failed_predictors
+    attempts = len(trace.accepted_points) - 1 + trace.failures
     assert trace.corrector_steps_total >= len(trace.accepted_points) - 1
     assert trace.corrector_steps_total <= attempts * make_params().max_iter
 

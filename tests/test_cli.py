@@ -297,19 +297,37 @@ def test_budget_override_changes_the_run(circle_args, tmp_path, capsys):
     assert narrow.shape != wide.shape or not np.array_equal(narrow, wide)
 
 
-def test_verbose_params_produce_dot_snapshots(circle_args, tmp_path):
-    verbose = tmp_path / "verbose.params"
-    text = data_path("circle.params").read_text(encoding="utf-8")
-    assert "VERBOSE" not in text
-    verbose.write_text(text + "VERBOSE 2\n", encoding="utf-8")
-    rc = main(
-        [
-            "--params", str(verbose),
-            "--initial-point", str(data_path("circle_start.txt")),
-            "--outdir", str(tmp_path),
-        ]
-    )
-    assert rc == 0
+def edited_circle_args(tmp_path, key, value):
+    """CLI arguments for the packaged circle run with the setting key = value."""
+    lines = [
+        line
+        for line in data_path("circle.params").read_text(encoding="utf-8").splitlines()
+        if line.split()[:1] != [key]
+    ]
+    params = tmp_path / "edited.params"
+    params.write_text("\n".join(lines + [f"{key} {value}"]) + "\n", encoding="utf-8")
+    return [
+        "--params", str(params),
+        "--initial-point", str(data_path("circle_start.txt")),
+        "--outdir", str(tmp_path),
+    ]
+
+
+def test_non_finite_setting_is_a_usage_error(tmp_path, capsys):
+    assert main(edited_circle_args(tmp_path, "H_INIT", "nan")) == 2
+    assert "H_INIT must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "curve.txt").exists()
+
+
+def test_verbose_1_prints_only_the_summary(tmp_path, capsys):
+    assert main(edited_circle_args(tmp_path, "VERBOSE", 1)) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 and SUMMARY.search(out.strip())
+    assert not list(tmp_path.glob("tree_*.dot"))
+
+
+def test_verbose_params_produce_dot_snapshots(tmp_path):
+    assert main(edited_circle_args(tmp_path, "VERBOSE", 2)) == 0
     snapshots = sorted(tmp_path.glob("tree_*.dot"))
     assert snapshots
     assert all(p.read_text(encoding="utf-8").startswith("digraph") for p in snapshots)

@@ -8,6 +8,7 @@ import pytest
 
 from arctree import (
     BootstrapError,
+    ContinuationResult,
     CorrectorFailure,
     ProblemDefinition,
     TerminationReason,
@@ -281,7 +282,7 @@ def test_non_finite_predictor_blackens_only_its_child():
     result = run_continuation(problem, replace(params, round_limit=1), np.zeros(2))
     assert result.rounds_executed == 1
     assert result.corrector_steps_total == 2
-    assert result.nodes_failed == 1
+    assert result.failures == 1
 
 
 @pytest.mark.parametrize("n_tasks", [0, 1, 2, 5, 13])
@@ -323,6 +324,13 @@ def test_worker_pool_propagates_other_errors_from_a_helper(n_workers):
                 with pytest.raises(type(error), match=str(error)):
                     pool.map(fn, [(i,) for i in range(n_tasks)])
             assert served == set(range(n_tasks))
+
+
+def test_worker_count_below_one_is_rejected():
+    with pytest.raises(ValueError, match="n_workers"):
+        WorkerPool(0)
+    with pytest.raises(ValueError, match="n_workers"):
+        run_continuation(circle_problem(), make_params(), Z0, n_workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +429,17 @@ def test_run_is_deterministic_across_worker_counts():
     assert first.corrector_steps_total == second.corrector_steps_total
 
 
+def test_dot_dir_alone_writes_one_snapshot_per_round(tmp_path):
+    params = make_params()
+    assert params.verbose == 0
+    result = run_continuation(circle_problem(), params, Z0, dot_dir=tmp_path)
+    assert result.rounds_executed > 0
+    snapshots = {p.name for p in tmp_path.glob("tree_*.dot")}
+    assert snapshots == {
+        f"tree_{k}.dot" for k in range(1, result.rounds_executed + 1)
+    }
+
+
 def test_immediate_step_underflow():
     params = make_params(h_min=1e-3, h_init=1e-4)
     result = run_continuation(circle_problem(), params, Z0)
@@ -456,7 +475,7 @@ def _run_counted(algorithm, problem, params, z0):
     result = algorithm(problem, params, z0)
     if algorithm is run_continuation:
         return result, result.rounds_executed
-    used = len(result.accepted_points) - 1 + result.failed_predictors
+    used = len(result.accepted_points) - 1 + result.failures
     return result, used
 
 
@@ -531,7 +550,7 @@ def test_all_black_rounds_shrink_base_step_to_underflow():
     params = make_params()
     result = run_continuation(problem, params, Z0)
     assert result.termination_reason is TerminationReason.STEP_UNDERFLOW
-    assert result.nodes_failed > 0
+    assert result.failures > 0
     assert len(result.accepted_points) == 1
     # base step shrinks by 0.9 * 0.75 / 2 per failed round, from 0.1
     # down through 1e-8: about 15 rounds
@@ -570,6 +589,8 @@ def test_emission_reverification_failure():
 def test_sink_sees_only_verified_points(algorithm):
     seen = []
     result = algorithm(corrupting_problem(), make_params(), Z0, sink=seen.append)
+    assert isinstance(result, ContinuationResult)
+    assert (result.rounds_executed is None) == (algorithm is not run_continuation)
     assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
     assert seen == result.accepted_points == []
 

@@ -350,7 +350,7 @@ def test_natural_continuation_steps_on_the_packaged_params():
     params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=3)
     trace = natural_continuation(ks_problem(config), params, z0)
     assert trace.termination_reason is TerminationReason.ITERATION_BUDGET
-    assert trace.failed_predictors == 0
+    assert trace.failures == 0
     lams = [p.z[config.lambda_index] for p in trace.accepted_points]
     assert lams == pytest.approx([0.1828, 0.1827, 0.1826, 0.1825])
 

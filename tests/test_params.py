@@ -1,5 +1,7 @@
 """Run-parameter validation."""
 
+import math
+
 import pytest
 
 from arctree import ParameterError
@@ -52,6 +54,22 @@ def test_worker_budget_override():
         dict(scalings=(0.75, -1.0, 2.0)),
         dict(verbose=-1),
         dict(round_limit=0),
+        # non-finite settings
+        dict(lambda_min=-math.inf),
+        dict(lambda_max=math.inf),
+        dict(delta_lambda=math.nan),
+        dict(delta_lambda=math.inf),
+        dict(delta_lambda=-math.inf),
+        dict(h_min=math.nan),
+        dict(h_max=math.nan),
+        dict(h_max=math.inf),
+        dict(h_init=math.nan),
+        dict(tol_residual=math.nan),
+        dict(tol_residual=math.inf),
+        dict(gamma=math.nan),
+        dict(gamma=math.inf),
+        dict(scalings=(0.75, math.nan, 2.0)),
+        dict(scalings=(0.75, 1.0, math.inf)),
     ],
 )
 def test_invalid_parameters_rejected(overrides):
