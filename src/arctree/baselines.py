@@ -7,13 +7,14 @@ stepper exactly when its tree is one node wide and one level deep and
 h_max equals |h_init|, so the stepper never grows its step) and
 as the comparison column for benchmark runs.  Both return the engine's
 ContinuationResult, with failed predictors as its failures and no
-rounds.
+rounds, and each holds BLAS to one thread while it runs (see blas).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .engine import (
     ContinuationResult,
     Sink,
@@ -29,6 +30,7 @@ from .problem import Array, CurvePoint, EvaluationError, ProblemDefinition
 from .tree import unit_secant
 
 
+@one_blas_thread()
 def natural_continuation(
     problem: ProblemDefinition,
     params: RunParams,
@@ -77,6 +79,7 @@ def natural_continuation(
     return ContinuationResult(accepted, reason, steps, failures)
 
 
+@one_blas_thread()
 def serial_pac(
     problem: ProblemDefinition,
     params: RunParams,

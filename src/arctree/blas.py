@@ -10,8 +10,9 @@ faster, used half the CPU, varied by under 5% and wrote the same curve.
 
 numpy and scipy each load their own OpenBLAS from the ``<package>.libs``
 directory of their wheels.  ``one_blas_thread`` sets every such library
-to one thread and restores its count afterwards.  Where none is found
-(another BLAS, another install layout), it changes nothing.
+to one thread and restores its count afterwards; the tree engine and
+both baselines run under it.  Where none is found (another BLAS, another
+install layout), it changes nothing.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Graphviz snapshot per round there.  The run ends with one summary line
 on stdout.  Exit status is 0 when the run swept the parameter to its
 window edge, 2 for usage errors, unreadable inputs or an output
 directory that cannot take curve.txt, 1 for runs that stopped for any
-other reason.  The run holds BLAS to one thread (see ``blas``).
+other reason.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from functools import partial
 from pathlib import Path
 
 from .baselines import natural_continuation, serial_pac
-from .blas import one_blas_thread
 from .engine import BootstrapError, TerminationReason, run_continuation
 from .fileio import parse_parameters, read_initial_point, write_curve_point
-from .params import ParameterError, RunParams
+from .params import RunParams
 from .problem import CurvePoint, ProblemDefinition
 from .problems import KsConfig, circle_problem, ks_problem
 
@@ -132,65 +131,45 @@ def resolve_problem(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        print(
-            f"arctree: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
-
+    args = build_parser().parse_args(argv)
+    # Every usage error raises here; the output directory is touched last.
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         params = parse_parameters(args.params)
         z0 = read_initial_point(args.initial_point)
-    except (OSError, ValueError) as exc:
-        print(f"arctree: {exc}", file=sys.stderr)
-        return 2
-    if z0.shape != (params.n_dim,):
-        print(
-            f"arctree: initial point has {z0.shape[0]} entries, "
-            f"parameter file says N_DIM {params.n_dim}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.budget is not None:
-        try:
-            params = replace(params, worker_budget=args.budget)
-        except ParameterError as exc:
-            print(f"arctree: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        problem = resolve_problem(args.problem, params, z0, args.ks_amplitude)
-    except (ImportError, AttributeError, ValueError) as exc:
-        print(f"arctree: {exc}", file=sys.stderr)
-        return 2
-    for key, ours, theirs in (
-        ("N_DIM", problem.n_dim, params.n_dim),
-        ("LAMBDA_INDEX", problem.lambda_index, params.lambda_index),
-    ):
-        if ours != theirs:
-            print(
-                f"arctree: problem {args.problem} has {key} {ours}, "
-                f"parameter file says {key} {theirs}",
-                file=sys.stderr,
+        if z0.shape != (params.n_dim,):
+            raise ValueError(
+                f"initial point has {z0.shape[0]} entries, "
+                f"parameter file says N_DIM {params.n_dim}"
             )
-            return 2
-
-    outdir = Path(args.outdir)
-    curve_path = outdir / "curve.txt"
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        # A fresh file: truncating one written moments before first waits
-        # for the filesystem to flush its pages, which can take tens of ms.
-        curve_path.unlink(missing_ok=True)
-        fh = open(curve_path, "w", encoding="utf-8")
-    except OSError as exc:
-        print(f"arctree: cannot write {curve_path}: {exc}", file=sys.stderr)
+        if args.budget is not None:
+            params = replace(params, worker_budget=args.budget)
+        problem = resolve_problem(args.problem, params, z0, args.ks_amplitude)
+        for key, ours, theirs in (
+            ("N_DIM", problem.n_dim, params.n_dim),
+            ("LAMBDA_INDEX", problem.lambda_index, params.lambda_index),
+        ):
+            if ours != theirs:
+                raise ValueError(
+                    f"problem {args.problem} has {key} {ours}, "
+                    f"parameter file says {key} {theirs}"
+                )
+        outdir = Path(args.outdir)
+        curve_path = outdir / "curve.txt"
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            # A fresh file: truncating one written moments before first waits
+            # for the filesystem to flush its pages, which can take tens of ms.
+            curve_path.unlink(missing_ok=True)
+            fh = open(curve_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise OSError(f"cannot write {curve_path}: {exc}") from exc
+    except (OSError, ImportError, AttributeError, ValueError) as exc:
+        print(f"arctree: {exc}", file=sys.stderr)
         return 2
     try:
-        with fh, one_blas_thread():
+        with fh:
 
             def writer(point: CurvePoint) -> None:
                 write_curve_point(fh, point.z)

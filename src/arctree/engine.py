@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -89,9 +88,8 @@ class WorkerPool:
     the others, one slice each, so a round costs one hand-off per helper
     rather than one per task.  The pool catches nothing: an exception
     from any task propagates once every slice has finished.  n_workers
-    == 1 runs inline.  While it has helper threads the pool holds BLAS
-    to one thread.  Thread count never affects the results, only wall
-    time.  n_workers below 1 raises ValueError.
+    == 1 runs inline.  Thread count never affects the results, only
+    wall time.  n_workers below 1 raises ValueError.
     """
 
     def __init__(self, n_workers: int = 1):
@@ -99,20 +97,16 @@ class WorkerPool:
             raise ValueError(f"n_workers must be at least 1, got {n_workers}")
         self.n_workers = int(n_workers)
         self._executor: ThreadPoolExecutor | None = None
-        self._held = ExitStack()
 
     def __enter__(self) -> "WorkerPool":
         if self.n_workers > 1:
-            self._held.enter_context(one_blas_thread())
-            self._executor = self._held.enter_context(
-                ThreadPoolExecutor(max_workers=self.n_workers - 1)
-            )
+            self._executor = ThreadPoolExecutor(max_workers=self.n_workers - 1)
         return self
 
     def __exit__(self, *exc) -> None:
-        # Shuts the helpers down, then restores the BLAS thread count.
-        self._held.close()
-        self._executor = None
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
 
     def map(self, fn, tasks):
         def serve(chunk):
@@ -412,6 +406,7 @@ def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
     return root, emitted
 
 
+@one_blas_thread()
 def run_continuation(
     problem: ProblemDefinition,
     params: RunParams,
@@ -430,7 +425,8 @@ def run_continuation(
     the sink sees only re-verified points; the final root is emitted at
     termination.  An on_accept hook may change the residual, so after it
     has run the residuals carried on the nodes are dropped.  n_workers
-    threads, the calling one included, serve each corrector round.
+    threads, the calling one included, serve each corrector round, and
+    BLAS runs on one thread throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 

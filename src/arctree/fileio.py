@@ -1,7 +1,8 @@
 """Plain-text formats: parameter files, point files, and DOT snapshots.
 
-Parameter files hold one ``KEY value`` pair per line; ``#`` starts a
-comment and blank lines are skipped.  The step scalings are given one
+Parameter files hold one ``KEY value`` pair per line, the keys being
+``RunParams`` field names in upper case; ``#`` starts a comment and
+blank lines are skipped.  The step scalings are given one
 per line as SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1} and their count must
 match MAX_CHILDREN.  Point files hold whitespace-separated floats, one
 curve point per line, printed with 17 significant digits so a write and
@@ -11,6 +12,7 @@ read round trip is exact.
 from __future__ import annotations
 
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -19,28 +21,12 @@ import numpy as np
 from .params import ParameterError, RunParams
 from .tree import TreeNode, iter_nodes
 
-_INT_KEYS = {
-    "N_DIM": "n_dim",
-    "LAMBDA_INDEX": "lambda_index",
-    "MAX_ITER": "max_iter",
-    "MAX_DEPTH": "max_depth",
-    "MAX_CHILDREN": "max_children",
-    "VERBOSE": "verbose",
+# Every RunParams field but these three is one KEY value line (see RunParams).
+_KEYS = {
+    f.name.upper(): f
+    for f in fields(RunParams)
+    if f.name not in ("scalings", "worker_budget", "round_limit")
 }
-
-_FLOAT_KEYS = {
-    "LAMBDA_MIN": "lambda_min",
-    "LAMBDA_MAX": "lambda_max",
-    "DELTA_LAMBDA": "delta_lambda",
-    "H_MIN": "h_min",
-    "H_MAX": "h_max",
-    "H_INIT": "h_init",
-    "TOL_RESIDUAL": "tol_residual",
-    "MU": "mu",
-    "GAMMA": "gamma",
-}
-
-_OPTIONAL_KEYS = {"VERBOSE"}
 
 
 def _format_float(x: float) -> str:
@@ -55,7 +41,7 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
     list that is not exactly SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1}.
     """
     path = Path(path)
-    seen: dict[str, float | int] = {}
+    seen: dict[str, float | int] = {}  # by field name
     scalings: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,10 +61,9 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
                         f"{path.name}:{lineno}: bad scaling key {key!r}"
                     )
                 table, slot, convert = scalings, int(suffix), float
-            elif key in _INT_KEYS:
-                table, slot, convert = seen, key, int
-            elif key in _FLOAT_KEYS:
-                table, slot, convert = seen, key, float
+            elif key in _KEYS:
+                f = _KEYS[key]
+                table, slot, convert = seen, f.name, int if f.type == "int" else float
             else:
                 raise ParameterError(f"{path.name}:{lineno}: unknown key {key!r}")
             if slot in table:
@@ -90,12 +75,13 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
                     f"{path.name}:{lineno}: bad value for {key}: {text!r}"
                 ) from exc
 
-    required = (set(_INT_KEYS) | set(_FLOAT_KEYS)) - _OPTIONAL_KEYS
-    missing = sorted(required - set(seen))
+    missing = sorted(
+        key for key, f in _KEYS.items() if f.default is MISSING and f.name not in seen
+    )
     if missing:
         raise ParameterError(f"{path.name}: missing required key(s): {', '.join(missing)}")
 
-    n_children = int(seen["MAX_CHILDREN"])
+    n_children = int(seen["max_children"])
     expected = set(range(n_children))
     if set(scalings) != expected:
         got = ", ".join(f"SCALE_PROCESS_{i}" for i in sorted(scalings)) or "none"
@@ -104,25 +90,19 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
             f"to match MAX_CHILDREN={n_children}, got: {got}"
         )
 
-    kwargs = {field: seen[key] for key, field in _INT_KEYS.items() if key in seen}
-    kwargs.update(
-        {field: seen[key] for key, field in _FLOAT_KEYS.items() if key in seen}
-    )
-    kwargs["scalings"] = tuple(scalings[i] for i in range(n_children))
-    return RunParams(**kwargs)
+    return RunParams(**seen, scalings=tuple(scalings[i] for i in range(n_children)))
 
 
 def write_parameters(params: RunParams, path: str | os.PathLike) -> None:
     """Write a parameter file that parse_parameters reads back exactly.
 
-    Only file-representable settings are written; the worker budget and
-    round limit are run options, not file keys.
+    Keys are written in RunParams field order, then the scalings; the
+    worker budget and round limit are run options, not file keys.
     """
     lines = []
-    for key, field in _INT_KEYS.items():
-        lines.append(f"{key} {getattr(params, field)}")
-    for key, field in _FLOAT_KEYS.items():
-        lines.append(f"{key} {_format_float(getattr(params, field))}")
+    for key, f in _KEYS.items():
+        value = getattr(params, f.name)
+        lines.append(f"{key} {value if f.type == 'int' else _format_float(value)}")
     for i, scale in enumerate(params.scalings):
         lines.append(f"SCALE_PROCESS_{i} {_format_float(scale)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -27,6 +27,13 @@ class RunParams:
     part of the algorithm (it bounds speculation); the number of threads
     that physically serve those slots is a separate execution detail and
     never changes results.  Only the CLI reads verbose.
+
+    A parameter file (see fileio) holds one ``KEY value`` line per field
+    but scalings, worker_budget and round_limit: KEY is the field name in
+    upper case, the value is read as the field's annotated type (int or
+    float), and the key may be left out exactly when the field has a
+    default.  The scalings are the lines SCALE_PROCESS_0 ..
+    SCALE_PROCESS_{max_children - 1}.
     """
 
     n_dim: int

@@ -22,6 +22,7 @@ Two problems ship with the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -154,6 +155,8 @@ class KsConfig:
         n = self.n_grid
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError("n_grid must be a power of two, at least 16")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.reference_profile is None:
             self.reference_profile = np.zeros(n)
         else:

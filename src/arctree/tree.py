@@ -93,15 +93,18 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
     """Classify a corrector sequence from its residual history.
 
     Rules apply in order: converged, nearly converged, diverging, still
-    running.  A nearly converged sequence is never declared diverging.
-    Before the first iteration only the iteration-cap part of the
-    divergence rule can apply, since there is no previous residual.
+    running.  A nearly converged sequence is exempt from the mu test and
+    gets one step past the iteration cap: it is BLACK only once nu
+    exceeds max_iter + 1, so a node takes at most max_iter + 2 steps and
+    a corrector that stalls just above tolerance cannot hold a node
+    forever.  Before the first iteration only the iteration-cap part of
+    the divergence rule can apply, since there is no previous residual.
     """
     r = node.residual_norm_current
     if r <= params.tol_residual:
         return Color.GREEN
     if r**params.gamma <= params.tol_residual:
-        return Color.YELLOW
+        return Color.YELLOW if node.nu <= params.max_iter + 1 else Color.BLACK
     if node.nu > params.max_iter:
         return Color.BLACK
     if (

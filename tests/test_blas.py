@@ -1,15 +1,18 @@
-"""BLAS thread pinning around a continuation run."""
+"""BLAS thread pinning around a continuation run, from the CLI or the library."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from arctree import (
     circle_problem,
     data_path,
+    natural_continuation,
     parse_parameters,
     read_initial_point,
     run_continuation,
+    serial_pac,
 )
 from arctree.blas import one_blas_thread, thread_controls
 from arctree.cli import main
@@ -64,10 +67,19 @@ def test_cli_run_holds_one_blas_thread(two_threads, tmp_path):
     assert counts() == [2] * len(thread_controls())
 
 
-def test_library_run_with_workers_holds_one_blas_thread(two_threads):
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(partial(run_continuation, n_workers=1), id="pampac-w1"),
+        pytest.param(partial(run_continuation, n_workers=2), id="pampac-w2"),
+        pytest.param(serial_pac, id="serial-pac"),
+        pytest.param(natural_continuation, id="natural"),
+    ],
+)
+def test_library_run_with_workers_holds_one_blas_thread(two_threads, run):
     SEEN.clear()
     params = parse_parameters(data_path("circle.params"))
     z0 = read_initial_point(data_path("circle_start.txt"))
-    run_continuation(recording_problem(), params, z0, n_workers=2)
+    run(recording_problem(), params, z0)
     assert SEEN and all(seen == [1] * len(thread_controls()) for seen in SEEN)
     assert counts() == [2] * len(thread_controls())

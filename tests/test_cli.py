@@ -242,15 +242,36 @@ def not_a_problem():
     return 42
 
 
-def test_unknown_problem_plugin_is_rejected(circle_args, capsys):
+def unreadable_problem():
+    raise OSError("problem data is unreadable")
+
+
+def test_unknown_problem_plugin_is_rejected(circle_args, tmp_path, capsys):
     for spec in (
         "no.such.module:thing",
         "sphere",
         "test_cli:not_a_problem",
         "arctree.problems:grid",  # a factory that needs an argument
+        "test_cli:unreadable_problem",  # a factory that raises OSError
     ):
         assert main(circle_args("--problem", spec)) == 2
         assert "arctree:" in capsys.readouterr().err
+        assert not (tmp_path / "curve.txt").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["nan", "inf"])
+def test_non_finite_ks_amplitude_is_a_usage_error(tmp_path, capsys, amplitude):
+    outdir = tmp_path / "out"
+    argv = [
+        "--problem", "ks",
+        "--params", str(data_path("ks_n128.params")),
+        "--initial-point", str(data_path("ks_start_n128.txt")),
+        "--ks-amplitude", amplitude,
+        "--outdir", str(outdir),
+    ]
+    assert main(argv) == 2
+    assert "amplitude must be finite" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def circle_in_three_dims():

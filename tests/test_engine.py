@@ -557,6 +557,25 @@ def test_all_black_rounds_shrink_base_step_to_underflow():
     assert 10 < result.rounds_executed < 25
 
 
+def test_a_stalling_corrector_ends_in_step_underflow():
+    inner = circle_problem()
+
+    def corrector(zeta, tangent, z_base, h):
+        # Above lambda 0.5 the step stops improving at residual 1e-6, whose
+        # square is within tolerance: every node there stays YELLOW until
+        # the iteration cap fails it.
+        out = bordered_newton_step(inner, zeta, tangent, z_base, h)
+        if out[1] > 0.5 and abs(out @ out - 1.0) < 1e-6:
+            out *= np.sqrt((1.0 + 1e-6) / (out @ out))
+        return out
+
+    problem = replace(inner, jacobian=None, corrector=corrector)
+    result = run_continuation(problem, make_params(round_limit=2000), Z0)
+    assert result.termination_reason is TerminationReason.STEP_UNDERFLOW
+    assert result.rounds_executed < 2000
+    assert all(p.z[1] <= 0.5 for p in result.accepted_points)
+
+
 def corrupting_problem() -> ProblemDefinition:
     """The unit circle, knocked off its own curve by its on_accept hook."""
     offset = [0.0]

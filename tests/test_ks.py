@@ -1,5 +1,6 @@
 """Spectral travelling-wave problem: operators, residual, symmetry, data."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -278,6 +279,12 @@ def test_reflection_maps_solutions_to_solutions():
 def test_grid_size_must_be_a_large_power_of_two(bad_n):
     with pytest.raises(ValueError):
         KsConfig(n_grid=bad_n)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_non_finite_amplitude_is_rejected(amplitude):
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        KsConfig(n_grid=32, amplitude=amplitude)
 
 
 def test_reference_profile_shape_is_checked():

@@ -63,6 +63,12 @@ def test_black_when_over_iteration_budget():
     assert colored(5, 1e-2, 6e-2) is Color.BLACK
 
 
+def test_yellow_gets_one_step_past_the_iteration_budget():
+    # max_iter is 4: a nearly converged node may take a 5th step, not a 6th.
+    assert colored(5, 5e-4, 1e-2) is Color.YELLOW
+    assert colored(6, 5e-4, 1e-2) is Color.BLACK
+
+
 def test_green_takes_precedence_over_black():
     # Converged on the very iteration that exhausted the budget.
     assert colored(5, 1e-8, 1e-4) is Color.GREEN
