@@ -2,10 +2,10 @@
 predictor-corrector arclength stepping.
 
 Both are deliberately simple single-branch loops.  They exist as
-correctness baselines (the tree engine must reproduce the arclength
-stepper exactly when its tree is one node wide and one level deep and
-h_max equals |h_init|, so the stepper never grows its step) and
-as the comparison column for benchmark runs.  Both return the engine's
+correctness baselines (a tree one node wide and one level deep must
+reproduce the arclength stepper exactly while no predictor fails, since
+both size each next step with engine.next_step) and as the comparison
+column for benchmark runs.  Both return the engine's
 ContinuationResult, with failed predictors as its failures and no
 rounds, and each holds BLAS to one thread while it runs (see blas).
 """
@@ -22,6 +22,7 @@ from .engine import (
     bootstrap,
     correct,
     emit_point,
+    next_step,
     start_point,
     stop_reason,
 )
@@ -91,7 +92,10 @@ def serial_pac(
     Each attempt predicts along the unit secant of the last two points,
     or the previous direction when that secant is degenerate, as the
     tree does, and runs up to max_iter corrector iterations.  On success
-    the step doubles, capped at h_max; on failure it halves.  The run
+    the step becomes next_step of the step and the iterations it took,
+    as the tree's base step does when its root advances: it grows when
+    the corrector needed fewer than max_iter - 1 iterations, shrinks when
+    it needed more, and is capped at h_max.  On failure it halves.  The run
     ends by stop_reason on the last point, the step and the attempts
     made, or when an accepted point fails re-verification.  Accepted
     points, the start included, are emitted through emit_point as in the
@@ -122,7 +126,7 @@ def serial_pac(
                 tangent = secant
             emit_point(problem, params, point, accepted, sink)
             z = point.z
-            h = min(2.0 * h, params.h_max)
+            h = next_step(h, taken, params)
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps, failures)

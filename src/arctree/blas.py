@@ -11,13 +11,15 @@ faster, used half the CPU, varied by under 5% and wrote the same curve.
 numpy and scipy each load their own OpenBLAS from the ``<package>.libs``
 directory of their wheels.  ``one_blas_thread`` sets every such library
 to one thread and restores its count afterwards; the tree engine and
-both baselines run under it.  Where none is found (another BLAS, another
-install layout), it changes nothing.
+both baselines run under it.  Where no such library is found (another
+BLAS, another install layout), it changes nothing.  Runs that overlap
+on several threads share one hold, released when the last of them ends.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -53,15 +55,34 @@ def thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], 
     return tuple(controls)
 
 
+# Thread counts are process-wide, so overlapping holds on several threads
+# share one: the first to enter saves the counts and pins them, the last to
+# exit restores them.
+_hold_lock = threading.Lock()
+_holders = 0
+_saved: list[int] = []
+
+
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Run the body with every found OpenBLAS on one thread."""
+    """Run the body with every found OpenBLAS on one thread.
+
+    Holds may overlap across threads; the counts seen by the first to
+    enter come back when the last one exits.
+    """
+    global _holders, _saved
     controls = thread_controls()
-    before = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    with _hold_lock:
+        if _holders == 0:
+            _saved = [get() for get, _ in controls]
+            for _, put in controls:
+                put(1)
+        _holders += 1
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, before):
-            put(count)
+        with _hold_lock:
+            _holders -= 1
+            if _holders == 0:
+                for (_, put), count in zip(controls, _saved):
+                    put(count)

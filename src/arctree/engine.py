@@ -6,6 +6,8 @@ point.  Each round it seeds predictor children at every leaf (within the
 worker budget and depth cap), applies one corrector iteration to every
 unfinished node concurrently, recolors, prunes, and advances the root
 down a confirmed chain of converged points, streaming them to a sink.
+Each new root's base step comes from next_step, the step rule serial-pac
+shares.
 
 Results are deterministic: corrector tasks are pure, results are keyed
 by node and applied in a fixed traversal order, so the number of threads
@@ -232,6 +234,20 @@ def correct(
     return None, params.max_iter
 
 
+def next_step(h: float, taken: int, params: RunParams) -> float:
+    """Step magnitude after a success that took `taken` corrector steps.
+
+    The one step-size rule of the tree and serial-pac (Allgower & Georg,
+    section 6.1, in its simplest form): |h| is scaled by
+    target / taken, clipped to [1/2, 2], and capped at h_max, where the
+    target is max_iter - 1 steps (at least 1).  A success that needed
+    few steps grows the step, one that needed more than the target
+    shrinks it.
+    """
+    target = max(params.max_iter - 1, 1)
+    return min(abs(h) * min(max(target / taken, 0.5), 2.0), params.h_max)
+
+
 def emit_point(
     problem: ProblemDefinition,
     params: RunParams,
@@ -387,14 +403,18 @@ def corrector_round(
     return steps
 
 
-def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
+def advance_root(
+    root: TreeNode, emit: Sink, params: RunParams
+) -> tuple[TreeNode, int]:
     """Move the root down the confirmed chain, emitting accepted points.
 
     While the root has exactly one child and that child is GREEN, the
     root's point is emitted and the child becomes the new root.  Nothing
     steps a GREEN node, so the new root seeds its children along the
-    secant from its predecessor, as every leaf does.  Returns the new
-    root and the number of points emitted.
+    secant from its predecessor, as every leaf does.  Its base step is
+    next_step of the step that seeded it and the corrector steps it took,
+    as serial-pac's step is after a success.  Returns the new root and
+    the number of points emitted.
     """
     emitted = 0
     while len(root.children) == 1 and root.children[0].color is Color.GREEN:
@@ -402,6 +422,7 @@ def advance_root(root: TreeNode, emit: Sink) -> tuple[TreeNode, int]:
         emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         root.children = []
         root = child
+        root.h_base = next_step(root.h_init, root.nu, params)
         emitted += 1
     return root, emitted
 
@@ -457,7 +478,7 @@ def run_continuation(
                     1 for n in iter_nodes(root) if n.color is Color.BLACK
                 )
                 prune_tree(root, params)
-                root, emitted = advance_root(root, emit)
+                root, emitted = advance_root(root, emit, params)
                 if emitted and problem.on_accept is not None:
                     for node in iter_nodes(root):
                         node.residual = None

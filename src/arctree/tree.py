@@ -53,8 +53,10 @@ class TreeNode:
     Every leaf, the root included, seeds its children along its
     secant_direction.  nu counts corrector iterations applied to this
     node; nu_init records the parent's iteration count at spawn time.
-    h_base is the adaptive base step scaled to seed this node's children
-    and only shrinks when all of them diverge.  residual_norm_previous is
+    h_base is the adaptive base step scaled to seed this node's children.
+    It starts as the node's own seed step; when the node becomes the root
+    it is reset from h_init and nu (engine.next_step), and it shrinks
+    whenever all of the node's children diverge.  residual_norm_previous is
     None exactly while nu == 0.  residual is F(zeta), kept for the next
     corrector step, or None when it is unknown or stale.
     """

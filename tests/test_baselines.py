@@ -10,7 +10,11 @@ from arctree import (
     ProblemDefinition,
     TerminationReason,
     circle_problem,
+    data_path,
+    ks_problem,
+    load_ks_fixture,
     natural_continuation,
+    parse_parameters,
     serial_pac,
 )
 from conftest import make_params
@@ -120,3 +124,15 @@ def test_serial_sink_sees_every_accepted_point():
 def test_serial_bootstrap_failure_propagates():
     with pytest.raises(BootstrapError):
         serial_pac(circle_problem(), make_params(), np.array([2.0, 0.0]))
+
+
+def test_serial_wastes_few_predictors_on_ks():
+    # Growing the step only when a success came cheaply keeps failed
+    # predictors, and the corrector steps they burn, rare on the packaged
+    # KS inputs; doubling after every success failed half the attempts.
+    params = parse_parameters(data_path("ks_n128.params"))
+    z0, config = load_ks_fixture()
+    trace = serial_pac(ks_problem(config), params, z0)
+    assert trace.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    attempts = len(trace.accepted_points) - 1 + trace.failures
+    assert trace.failures <= 0.1 * attempts

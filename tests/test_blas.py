@@ -1,5 +1,6 @@
 """BLAS thread pinning around a continuation run, from the CLI or the library."""
 
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -51,6 +52,35 @@ def recording_problem():
 def test_one_blas_thread_pins_and_restores(two_threads):
     with one_blas_thread():
         assert counts() == [1] * len(thread_controls())
+    assert counts() == [2] * len(thread_controls())
+
+
+def test_overlapping_holds_restore_on_the_last_exit(two_threads):
+    # A enters, B enters, A exits while B still holds, then B exits.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    waited, seen_by_b = [], []
+
+    def a():
+        with one_blas_thread():
+            a_in.set()
+            waited.append(b_in.wait(10))
+        a_out.set()
+
+    def b():
+        waited.append(a_in.wait(10))
+        with one_blas_thread():
+            b_in.set()
+            waited.append(a_out.wait(10))
+            seen_by_b.append(counts())
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive()
+    assert waited == [True] * 3
+    assert seen_by_b == [[1] * len(thread_controls())]
     assert counts() == [2] * len(thread_controls())
 
 

@@ -27,6 +27,7 @@ from arctree.engine import (
     correct,
     corrector_round,
     make_root,
+    next_step,
     spawn_round,
     stop_reason,
 )
@@ -334,8 +335,46 @@ def test_worker_count_below_one_is_rejected():
 
 
 # ---------------------------------------------------------------------------
+# Step control
+# ---------------------------------------------------------------------------
+
+
+def test_next_step_doubles_fast_successes_up_to_h_max():
+    params = make_params(max_iter=5, h_max=0.25)  # target 4 steps
+    assert next_step(0.05, 1, params) == 0.1
+    assert next_step(0.05, 2, params) == 0.1
+    assert next_step(-0.05, 2, params) == 0.1  # a magnitude, like h_base
+    assert next_step(0.2, 1, params) == 0.25
+
+
+def test_next_step_holds_at_the_target_and_at_most_halves():
+    params = make_params(max_iter=5)
+    assert next_step(0.1, 4, params) == 0.1
+    assert next_step(0.1, 5, params) == pytest.approx(0.08)
+    assert next_step(0.1, 8, params) == 0.05
+    assert next_step(0.1, 20, params) == 0.05
+
+
+def test_next_step_target_is_at_least_one_step():
+    # At MAX_ITER 1 every success takes one step, so the step holds.
+    params = make_params(max_iter=1)
+    assert next_step(0.1, 1, params) == 0.1
+
+
+# ---------------------------------------------------------------------------
 # Root advancement
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu,h_base", [(1, 0.2), (4, 0.075)])
+def test_advance_root_sets_the_new_base_step_by_next_step(nu, h_base):
+    params = make_params(h_max=0.25, max_iter=4)  # target 3 steps
+    root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
+    child = make_node(Color.GREEN, nu=nu, h_init=0.1, residual=0.0)
+    root.children = [child]
+    new_root, count = advance_root(root, [].append, params)
+    assert count == 1 and new_root is child
+    assert new_root.h_base == pytest.approx(h_base)
 
 
 def test_advance_root_walks_single_green_chain():
@@ -351,7 +390,7 @@ def test_advance_root_walks_single_green_chain():
     mid.children = [tip]
 
     emitted = []
-    new_root, count = advance_root(root, emitted.append)
+    new_root, count = advance_root(root, emitted.append, make_params())
     assert count == 1
     assert new_root is mid
     assert [p.z[1] for p in emitted] == [0.0]
@@ -371,7 +410,7 @@ def test_advance_root_requires_exactly_one_child():
     a.zeta = np.array([1.0, 1.0])
     root.children = [a, b]
     emitted = []
-    new_root, count = advance_root(root, emitted.append)
+    new_root, count = advance_root(root, emitted.append, make_params())
     assert count == 0 and new_root is root and emitted == []
 
 
@@ -383,12 +422,12 @@ def test_advance_root_after_walkthrough_prune(prune_fixture):
     params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
     prune_tree(f.root, params)
     emitted = []
-    new_root, count = advance_root(f.root, emitted.append)
+    new_root, count = advance_root(f.root, emitted.append, params)
     assert count == 0 and new_root is f.root
 
     f.root.children = [f.b]
     f.b.zeta = np.array([0.5, 0.5])
-    new_root, count = advance_root(f.root, emitted.append)
+    new_root, count = advance_root(f.root, emitted.append, params)
     assert count == 1
     assert new_root is f.b
     assert new_root.children == [f.b1]
