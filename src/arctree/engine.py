@@ -9,9 +9,9 @@ down a confirmed chain of converged points, streaming them to a sink.
 Each new root's base step comes from next_step, the step rule serial-pac
 shares.
 
-Results are deterministic: corrector tasks are pure, results are keyed
-by node and applied in a fixed traversal order, so the number of threads
-physically serving the worker budget changes wall time only.
+Results are deterministic: each corrector task writes only its own node;
+colours and counts are applied in traversal order, so the number of
+threads physically serving the worker budget changes wall time only.
 """
 
 from __future__ import annotations
@@ -176,37 +176,37 @@ def start_point(
     return CurvePoint(z0, r0)
 
 
-def step(
-    problem: ProblemDefinition,
-    zeta: Array,
-    tangent: Array,
-    z_base: Array,
-    h: float,
-    f: Array | None,
-) -> tuple[float | None, Array | None, Array | None, float | None]:
-    """One corrector step from zeta: (r0, new zeta, F there, its norm).
+def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
+    """Advance the node's corrector sequence by one step, in place.
 
-    The one place a step failure is caught; none is raised.  f is F(zeta)
-    when the caller holds it.  When f is None (a fresh predictor, or an
-    iterate whose residual an on_accept hook made stale) F is first
-    evaluated at zeta and r0 is its norm; r0 is None otherwise.  A
-    non-finite residual there returns (inf, None, None, None) and zeta is
-    not stepped.  A failed step, or a non-finite residual at the new
-    iterate, returns (r0, None, None, None).
+    The one place a step failure is caught; none is raised.  A node with
+    no residual (fresh, or made stale by an on_accept hook) first has F
+    evaluated at its iterate and takes that norm as its current one; a
+    non-finite residual there sets it to inf and returns None, unstepped.
+    A failed step, or a non-finite residual at the new iterate, returns
+    False and keeps the iterate.  Otherwise the node holds the new
+    iterate, F and its norm there, the norm it stepped from as the
+    previous one and one more iteration, and True is returned.
     """
-    r0 = None
-    if f is None:
+    if node.residual is None:
         try:
-            f = evaluate_residual(problem, zeta)
+            node.residual = evaluate_residual(problem, node.zeta)
         except EvaluationError:
-            return math.inf, None, None, None
-        r0 = math.sqrt(f.dot(f))
+            node.residual_norm_current = math.inf
+            return None
+        node.residual_norm_current = math.sqrt(node.residual.dot(node.residual))
     try:
-        new_zeta = corrector_step(problem, zeta, tangent, z_base, h, f)
-        new_f = evaluate_residual(problem, new_zeta)
+        zeta = corrector_step(
+            problem, node.zeta, node.t_init, node.z_init, node.h_init, node.residual
+        )
+        f = evaluate_residual(problem, zeta)
     except (CorrectorFailure, EvaluationError):
-        return r0, None, None, None
-    return r0, new_zeta, new_f, math.sqrt(new_f.dot(new_f))
+        return False
+    node.zeta, node.residual = zeta, f
+    node.nu += 1
+    node.residual_norm_previous = node.residual_norm_current
+    node.residual_norm_current = math.sqrt(f.dot(f))
+    return True
 
 
 def correct(
@@ -219,18 +219,18 @@ def correct(
 ) -> tuple[CurvePoint | None, int]:
     """Step from the predictor zeta until the residual meets tolerance.
 
-    Returns the converged point, or None when max_iter steps do not
-    converge or a step fails, together with the steps counted by the
-    tree's rule: a step counts once the corrector has been called, and a
-    non-finite predictor never counts.
+    The sequence is one TreeNode, advanced by step.  Returns the converged
+    point, or None when max_iter steps do not converge or a step fails,
+    together with the steps counted by the tree's rule: a step counts once
+    the corrector has been called, and a non-finite predictor never counts.
     """
-    f = None
-    for steps in range(1, params.max_iter + 1):
-        r0, zeta, f, r = step(problem, zeta, tangent, z_base, h, f)
-        if zeta is None:
-            return None, 0 if r0 == math.inf else steps
-        if r <= params.tol_residual:
-            return CurvePoint(zeta, r), steps
+    node = TreeNode(zeta=zeta, z_init=z_base, t_init=tangent, h_init=h, h_base=h)
+    while node.nu < params.max_iter:
+        stepped = step(problem, node)
+        if not stepped:
+            return None, 0 if stepped is None else node.nu + 1
+        if node.residual_norm_current <= params.tol_residual:
+            return CurvePoint(node.zeta, node.residual_norm_current), node.nu
     return None, params.max_iter
 
 
@@ -373,33 +373,18 @@ def corrector_round(
 
     All RED and YELLOW nodes receive exactly one step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
-    A node that carries no residual, fresh or stale, has it evaluated in
-    its step; a non-finite one turns the node BLACK without a step.  A
-    fresh node takes that residual's norm as its current one.  Each step
-    leaves the residual at its new iterate on the node.  Results are
-    applied in traversal order: residual history shifts, the iteration
-    count increments, and the node is recolored.  A failed step turns
-    the node BLACK.  Returns the steps counted by the rule of correct.
+    Each task advances its own node in place (see step).  The nodes are
+    then recolored in traversal order: a failed step, or a non-finite
+    residual at a predictor, turns the node BLACK, and assign_color
+    classifies the rest.  Returns the steps counted by the rule of
+    correct.
     """
     targets = unfinished_nodes(root)
-    tasks = [
-        (problem, n.zeta, n.t_init, n.z_init, n.h_init, n.residual)
-        for n in targets
-    ]
-    steps = len(targets)
-    for node, (r0, zeta, f, r) in zip(targets, pool.map(step, tasks)):
-        if r0 == math.inf:
-            steps -= 1
-        if node.nu == 0:
-            node.residual_norm_current = r0
-        if zeta is None:
-            node.color = Color.BLACK
-            continue
-        node.zeta, node.residual = zeta, f
-        node.nu += 1
-        node.residual_norm_previous = node.residual_norm_current
-        node.residual_norm_current = r
-        node.color = assign_color(node, params)
+    outcomes = pool.map(step, [(problem, n) for n in targets])
+    steps = 0
+    for node, stepped in zip(targets, outcomes):
+        steps += stepped is not None
+        node.color = assign_color(node, params) if stepped else Color.BLACK
     return steps
 
 
@@ -422,6 +407,10 @@ def advance_root(
         emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         root.children = []
         root = child
+        # Any backoff reduce_base_step applied to the child is discarded on
+        # purpose.  Growing from the backed-off base instead,
+        # next_step(root.h_base, ...), made ks128-tree crawl to
+        # STEP_UNDERFLOW in 21543 rounds and 208387 corrector steps.
         root.h_base = next_step(root.h_init, root.nu, params)
         emitted += 1
     return root, emitted

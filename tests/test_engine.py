@@ -31,7 +31,7 @@ from arctree.engine import (
     spawn_round,
     stop_reason,
 )
-from arctree.problem import bordered_newton_step
+from arctree.problem import bordered_newton_step, residual_norm
 from arctree.tree import (
     Color,
     count_nodes,
@@ -284,6 +284,32 @@ def test_non_finite_predictor_blackens_only_its_child():
     assert result.rounds_executed == 1
     assert result.corrector_steps_total == 2
     assert result.failures == 1
+
+
+def test_a_stale_residual_is_re_evaluated_into_the_norm_mu_compares():
+    # An on_accept hook may change the residual (the spectral problem
+    # re-anchors its phase), and the engine then drops carried residuals.
+    # The next step's mu test must compare against the norm at the same
+    # iterate under the changed residual, not the one carried from before.
+    offset = [0.0]
+    inner = slow_problem()
+    problem = replace(inner, residual=lambda z: inner.residual(z) + offset[0])
+    params = slow_params()
+    point, direction = bootstrap(problem, params, np.zeros(2))
+    root = make_root(point, direction, params)
+    spawn_round(root, params, budget=1)
+    corrector_round(root, problem, params, WorkerPool(1))
+    (child,) = root.children
+    assert child.nu == 1 and child.color is Color.RED
+    carried_norm = child.residual_norm_current
+    offset[0] = 0.01
+    child.residual = None
+    pre_step = child.zeta.copy()
+    assert corrector_round(root, problem, params, WorkerPool(1)) == 1
+    assert child.nu == 2
+    fresh_norm = residual_norm(problem, pre_step)
+    assert fresh_norm != pytest.approx(carried_norm)
+    assert child.residual_norm_previous == fresh_norm
 
 
 @pytest.mark.parametrize("n_tasks", [0, 1, 2, 5, 13])
