@@ -67,7 +67,7 @@ def natural_continuation(
             if reason is not None:
                 break
             attempts += 1
-            point, taken = correct(problem, z + h * axis, axis, z, h, params)
+            point, taken = correct(problem, z, axis, h, params)
             steps += taken
             if point is None:
                 failures += 1
@@ -115,7 +115,7 @@ def serial_pac(
             if reason is not None:
                 break
             attempts += 1
-            point, taken = correct(problem, z + h * tangent, tangent, z, h, params)
+            point, taken = correct(problem, z, tangent, h, params)
             steps += taken
             if point is None:
                 failures += 1

@@ -46,6 +46,7 @@ from .tree import (
     iter_nodes,
     prune_tree,
     secant_direction,
+    seed,
     unfinished_nodes,
     unit_secant,
 )
@@ -211,20 +212,20 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
 
 def correct(
     problem: ProblemDefinition,
-    zeta: Array,
-    tangent: Array,
     z_base: Array,
+    tangent: Array,
     h: float,
     params: RunParams,
 ) -> tuple[CurvePoint | None, int]:
-    """Step from the predictor zeta until the residual meets tolerance.
+    """Predict a step h along tangent from z_base, then correct to tolerance.
 
-    The sequence is one TreeNode, advanced by step.  Returns the converged
-    point, or None when max_iter steps do not converge or a step fails,
-    together with the steps counted by the tree's rule: a step counts once
-    the corrector has been called, and a non-finite predictor never counts.
+    The sequence is one tree.seed node, advanced by step.  Returns the
+    converged point, or None when max_iter steps do not converge or a step
+    fails, together with the steps counted by the tree's rule: a step
+    counts once the corrector has been called, and a non-finite predictor
+    never counts.
     """
-    node = TreeNode(zeta=zeta, z_init=z_base, t_init=tangent, h_init=h, h_base=h)
+    node = seed(z_base, tangent, h)
     while node.nu < params.max_iter:
         stepped = step(problem, node)
         if not stepped:
@@ -293,8 +294,7 @@ def bootstrap(
     z0 = point0.z
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
-    zeta = z0 + params.delta_lambda * axis
-    neighbor, _ = correct(problem, zeta, axis, z0, params.delta_lambda, params)
+    neighbor, _ = correct(problem, z0, axis, params.delta_lambda, params)
     if neighbor is None:
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
@@ -326,10 +326,10 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
     """Seed predictor children at every eligible leaf.
 
     Leaves are visited breadth first; only leaves above the depth cap
-    spawn.  Each leaf seeds one child per scaling, in ascending scaling
-    order, from its current iterate along its secant_direction: one rule
-    for every leaf, the root included.  Children whose step magnitude
-    would exceed h_max are skipped.  Spawning stops when the budget is
+    spawn.  Each leaf seeds one child per scaling (tree.seed), in
+    ascending scaling order, from its current iterate along its
+    secant_direction: one rule for every leaf, the root included.
+    Children whose step magnitude would exceed h_max are skipped.  Spawning stops when the budget is
     exhausted.  Returns the number of children created.  A child's
     residual is evaluated in its first corrector round, not here.
     """
@@ -348,17 +348,7 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
             h_child = scale * leaf.h_base
             if abs(h_child) > params.h_max:
                 continue
-            child = TreeNode(
-                zeta=leaf.zeta + h_child * direction,
-                z_init=leaf.zeta.copy(),
-                t_init=np.asarray(direction, dtype=float).copy(),
-                h_init=h_child,
-                h_base=h_child,
-                nu=0,
-                nu_init=leaf.nu,
-                color=Color.RED,
-            )
-            leaf.children.append(child)
+            leaf.children.append(seed(leaf.zeta, direction, h_child, leaf.nu))
             spawned += 1
     return spawned
 
@@ -429,9 +419,10 @@ def run_continuation(
 
     Each round: spawn within the free worker budget, apply one corrector
     iteration to all unfinished nodes, write the tree snapshot to dot_dir
-    when one is given, prune, advance the root.  Stops by stop_reason
-    on the root's point, its base step and the rounds executed, or when a
-    round can change nothing.  Points are emitted through emit_point, so
+    when one is given, prune, advance the root; the BLACK nodes prune
+    drops are the run's failures.  Stops by stop_reason on the root's
+    point, its base step and the rounds executed, or when a round can
+    change nothing.  Points are emitted through emit_point, so
     the sink sees only re-verified points; the final root is emitted at
     termination.  An on_accept hook may change the residual, so after it
     has run the residuals carried on the nodes are dropped.  n_workers
@@ -463,10 +454,7 @@ def run_continuation(
                 rounds += 1
                 if dot_dir is not None:
                     export_dot(root, rounds, dot_dir)
-                failures += sum(
-                    1 for n in iter_nodes(root) if n.color is Color.BLACK
-                )
-                prune_tree(root, params)
+                failures += prune_tree(root, params)
                 root, emitted = advance_root(root, emit, params)
                 if emitted and problem.on_accept is not None:
                     for node in iter_nodes(root):

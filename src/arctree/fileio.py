@@ -12,6 +12,7 @@ read round trip is exact.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import IO, Iterable
@@ -111,12 +112,18 @@ def write_parameters(params: RunParams, path: str | os.PathLike) -> None:
 def read_initial_point(path: str | os.PathLike) -> np.ndarray:
     """Read a single point: whitespace-separated floats, comments allowed.
 
-    Text that is not a float raises ValueError naming the file.
+    Text that is not a float, or a file with no values, raises ValueError
+    naming the file.
     """
     try:
-        values = np.loadtxt(path, comments="#", dtype=float)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no data; that is raised below.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, comments="#", dtype=float)
     except ValueError as exc:
         raise ValueError(f"{Path(path).name}: {exc}") from exc
+    if values.size == 0:
+        raise ValueError(f"{Path(path).name}: no values")
     return np.atleast_1d(values).ravel()
 
 

@@ -128,7 +128,7 @@ def bordered_newton_step(
     tangent: Array,
     z_base: Array,
     h: float,
-    f: Array | None = None,
+    f: Array,
 ) -> Array:
     """One Newton iteration on the corrector system.
 
@@ -139,20 +139,15 @@ def bordered_newton_step(
 
     and returns zeta + d.  The constraint row keeps the iterate on the
     hyperplane at signed distance h from z_base along tangent, so the
-    update is well defined at folds.  f is F(zeta) when the caller
-    already holds it, as returned by evaluate_residual; None evaluates
-    it here.  Dense LU with partial pivoting; a pivot below
-    SINGULAR_PIVOT_RTOL times the largest row norm, or any non-finite
-    intermediate, raises CorrectorFailure.
+    update is well defined at folds.  f is F(zeta), as returned by
+    evaluate_residual; the step never evaluates the residual itself.
+    Dense LU with partial pivoting; a pivot below SINGULAR_PIVOT_RTOL
+    times the largest row norm, or any non-finite intermediate, raises
+    CorrectorFailure.
     """
     if problem.jacobian is None:
         raise ValueError("bordered_newton_step requires problem.jacobian")
     zeta = np.asarray(zeta, dtype=float)
-    if f is None:
-        try:
-            f = evaluate_residual(problem, zeta)
-        except EvaluationError as exc:
-            raise CorrectorFailure(str(exc)) from exc
     n = problem.n_dim
     jac = np.asarray(problem.jacobian(zeta), dtype=float)
     if jac.shape != (n - 1, n):
@@ -189,14 +184,14 @@ def corrector_step(
     tangent: Array,
     z_base: Array,
     h: float,
-    f: Array | None = None,
+    f: Array,
 ) -> Array:
     """Apply one corrector iteration using the problem's stepper.
 
-    Dispatches to the user-supplied corrector when present, otherwise to
-    the default bordered Newton step, which is handed f = F(zeta) when
-    the caller already holds it.  Non-finite output from a custom stepper
-    is mapped to CorrectorFailure.
+    Dispatches to the user-supplied corrector when present, called as
+    (zeta, tangent, z_base, h), otherwise to the default bordered Newton
+    step, which is handed f = F(zeta).  Non-finite output from a custom
+    stepper is mapped to CorrectorFailure.
     """
     if problem.corrector is None:
         return bordered_newton_step(problem, zeta, tangent, z_base, h, f)

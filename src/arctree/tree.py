@@ -1,8 +1,9 @@
 """Speculative corrector tree: node state, coloring, paths, pruning.
 
-Each node owns one corrector sequence seeded by a predictor step of
-length h_init along a unit direction from its parent's iterate.  Nodes
-are colored after every corrector round:
+Each node owns one corrector sequence, built by seed from a predictor
+step of length h_init along a unit direction from its parent's iterate
+(a run's first root is its start point).  Nodes are colored after every
+corrector round:
 
   GREEN   converged (residual within tolerance),
   YELLOW  nearly converged (residual^gamma within tolerance),
@@ -10,11 +11,13 @@ are colored after every corrector round:
           decay between consecutive iterates),
   RED     still in progress.
 
-Pruning removes BLACK subtrees, then keeps at most one GREEN-or-YELLOW
-child per node, chosen by comparing arclength gained per corrector
-iteration along the best fully converged chain against the best chain
-that still needs one more iteration at its tip.  RED children always
-survive pruning; they may still become the fastest route.
+Pruning is one top-down walk: a node whose children all diverged has
+its base step backed off, then it keeps its RED children and at most
+one GREEN-or-YELLOW child, chosen by comparing arclength gained per
+corrector iteration along the best fully converged chain against the
+best chain that still needs one more iteration at its tip.  BLACK
+children never survive; RED ones may still become the fastest route.
+The walk returns the number of failed (BLACK) sequences it dropped.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class TreeNode:
     """State of one speculative corrector sequence.
 
     zeta is the current iterate; z_init and t_init are the seed point and
-    unit seed direction, so at spawn time zeta = z_init + h_init * t_init.
+    unit seed direction, so seed starts zeta at z_init + h_init * t_init.
     Every leaf, the root included, seeds its children along its
     secant_direction.  nu counts corrector iterations applied to this
     node; nu_init records the parent's iteration count at spawn time.
@@ -92,6 +95,23 @@ class PathMetrics:
     length: float
     cost: int
     nodes: list[TreeNode]
+
+
+def seed(z: Array, direction: Array, h: float, nu_init: int = 0) -> TreeNode:
+    """A fresh RED corrector sequence predicted a step h along direction from z.
+
+    The one constructor of a sequence: its iterate is z + h * direction,
+    it keeps copies of z and direction as its seed point and direction,
+    and h is both its seed step and its base step.
+    """
+    return TreeNode(
+        zeta=z + h * direction,
+        z_init=np.array(z, dtype=float),
+        t_init=np.array(direction, dtype=float),
+        h_init=h,
+        h_base=h,
+        nu_init=nu_init,
+    )
 
 
 def assign_color(node: TreeNode, params: RunParams) -> Color:
@@ -156,14 +176,11 @@ def unfinished_nodes(root: TreeNode) -> list[TreeNode]:
 
 def breadth_first_leaves(root: TreeNode) -> list[tuple[TreeNode, int]]:
     """(leaf, depth) pairs in breadth-first order, root at depth 0."""
-    leaves = []
-    queue = [(root, 0)]
-    while queue:
-        node, depth = queue.pop(0)
-        if not node.children:
-            leaves.append((node, depth))
-        queue.extend((child, depth + 1) for child in node.children)
-    return leaves
+    # One pass over a list that grows behind the loop: the breadth-first order.
+    order = [(root, 0)]
+    for node, depth in order:
+        order.extend((child, depth + 1) for child in node.children)
+    return [(node, depth) for node, depth in order if not node.children]
 
 
 def _extend(
@@ -264,36 +281,25 @@ def reduce_base_step(node: TreeNode, scalings: tuple[float, ...]) -> None:
     node.h_base *= STEP_BACKOFF * min(scalings) / max(scalings)
 
 
-def prune_tree(root: TreeNode, params: RunParams) -> None:
-    """Drop diverged subtrees, then thin redundant converged branches.
+def prune_tree(root: TreeNode, params: RunParams) -> int:
+    """Thin the tree in one top-down walk; return the failed sequences.
 
-    Stage 1 deletes every subtree rooted at a BLACK node; any node whose
-    children were all deleted this way gets its base step reduced before
-    it respawns.  Stage 2 walks the remaining tree once, top down, using
-    chain metrics computed beforehand: at each node the best viable chain
-    fixes a candidate child to keep; if some other child roots an
-    all-GREEN alternative chain, the faster of the two (per
-    choose_best_path) wins.  Every GREEN or YELLOW child off the chosen
-    chain is deleted with its subtree.  RED children are always kept.
+    Chain metrics are computed for every node first; a BLACK node roots
+    no chain, so they are the same as if the BLACK subtrees were gone.
+    The walk visits the root and every child it keeps.  A visited node
+    whose children are all BLACK has its base step reduced before it
+    respawns.  Then its best viable chain fixes a candidate child to
+    keep; if some other child roots an all-GREEN alternative chain, the
+    faster of the two (per choose_best_path) wins.  The node keeps that
+    child and its RED children; every other child, BLACK ones included,
+    is deleted with its subtree.  Returns the number of BLACK nodes in
+    the tree before pruning: the failed corrector sequences.
     """
-
-    def drop_black(node: TreeNode) -> None:
-        if not node.children:
-            return
-        kept = [c for c in node.children if c.color is not Color.BLACK]
-        if not kept:
-            node.children = []
-            reduce_base_step(node, params.scalings)
-            return
-        node.children = kept
-        for child in kept:
-            drop_black(child)
-
-    drop_black(root)
-
     table = _path_table(root)
 
     def thin(node: TreeNode) -> None:
+        if node.children and all(c.color is Color.BLACK for c in node.children):
+            reduce_base_step(node, params.scalings)
         keep = None
         viable = table[node][1]
         if viable is not None and len(viable.nodes) >= 2:
@@ -311,6 +317,7 @@ def prune_tree(root: TreeNode, params: RunParams) -> None:
             thin(child)
 
     thin(root)
+    return sum(1 for node in table if node.color is Color.BLACK)
 
 
 def count_nodes(root: TreeNode) -> int:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -153,6 +154,24 @@ def test_malformed_initial_point_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("arctree: start.txt: ") and "abc" in err
     assert not (tmp_path / "curve.txt").exists()
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n"])
+def test_an_initial_point_file_with_no_values_is_one_usage_line(tmp_path, capsys, text):
+    start = tmp_path / "start.txt"
+    start.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            [
+                "--params", str(data_path("circle.params")),
+                "--initial-point", str(start),
+                "--outdir", str(tmp_path),
+            ]
+        )
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("arctree: start.txt: ")
 
 
 def _outdir_is_a_file(tmp_path):

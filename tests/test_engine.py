@@ -246,7 +246,7 @@ def test_a_raising_corrector_costs_one_step_in_correct_and_in_a_round():
     problem = refusing_problem()
     params = make_params()
     axis = np.array([0.0, 1.0])
-    point, steps = correct(problem, np.ones(2), axis, np.zeros(2), 0.1, params)
+    point, steps = correct(problem, np.zeros(2), axis, 0.1, params)
     assert point is None
     assert steps == 1
     root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
@@ -603,7 +603,7 @@ def test_all_black_rounds_shrink_base_step_to_underflow():
         # the bootstrap intact.
         if tangent[0] != 0.0:
             raise CorrectorFailure("refused")
-        return bordered_newton_step(inner, zeta, tangent, z_base, h)
+        return bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
 
     problem = ProblemDefinition(
         n_dim=2,
@@ -629,7 +629,7 @@ def test_a_stalling_corrector_ends_in_step_underflow():
         # Above lambda 0.5 the step stops improving at residual 1e-6, whose
         # square is within tolerance: every node there stays YELLOW until
         # the iteration cap fails it.
-        out = bordered_newton_step(inner, zeta, tangent, z_base, h)
+        out = bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
         if out[1] > 0.5 and abs(out @ out - 1.0) < 1e-6:
             out *= np.sqrt((1.0 + 1e-6) / (out @ out))
         return out
@@ -721,7 +721,7 @@ def test_correct_counts_steps_up_to_a_non_finite_residual():
         corrector=lambda zeta, tangent, z_base, h: np.array([10.0, h]),
     )
     axis = np.array([0.0, 1.0])
-    point, steps = correct(problem, np.zeros(2), axis, np.zeros(2), 0.1, make_params())
+    point, steps = correct(problem, np.zeros(2), axis, 0.1, make_params())
     assert point is None
     assert steps == 1
     with pytest.raises(BootstrapError):

@@ -54,7 +54,7 @@ def test_bordered_step_hand_oracle():
     z_base = np.array([1.0, 0.0])
     tangent = np.array([0.0, 1.0])
     zeta = z_base + 0.1 * tangent
-    out = corrector_step(problem, zeta, tangent, z_base, 0.1)
+    out = corrector_step(problem, zeta, tangent, z_base, 0.1, problem.residual(zeta))
     assert out == pytest.approx(np.array([0.995, 0.1]), abs=1e-15)
 
 
@@ -65,7 +65,7 @@ def test_bordered_step_converges_onto_curve():
     h = 0.1
     zeta = z_base + h * tangent
     for _ in range(8):
-        zeta = corrector_step(problem, zeta, tangent, z_base, h)
+        zeta = corrector_step(problem, zeta, tangent, z_base, h, problem.residual(zeta))
     assert residual_norm(problem, zeta) < 1e-14
     assert tangent @ (zeta - z_base) == pytest.approx(h, abs=1e-12)
 
@@ -83,7 +83,7 @@ def test_hyperplane_constraint_preserved():
         zeta = z_base + h * tangent + rng.normal(scale=0.01, size=2)
         zeta += (h - tangent @ (zeta - z_base)) * tangent
         assert abs(tangent @ (zeta - z_base) - h) < 1e-12
-        out = corrector_step(problem, zeta, tangent, z_base, h)
+        out = corrector_step(problem, zeta, tangent, z_base, h, problem.residual(zeta))
         assert abs(tangent @ (out - z_base) - h) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_residual_contraction_near_curve():
         before = residual_norm(problem, zeta)
         if before == 0.0:
             continue
-        out = corrector_step(problem, zeta, tangent, on_curve, h)
+        out = corrector_step(problem, zeta, tangent, on_curve, h, problem.residual(zeta))
         assert residual_norm(problem, out) <= 0.5 * before
 
 
@@ -117,6 +117,7 @@ def test_singular_bordered_matrix_fails():
             np.array([0.0, 1.0]),
             np.zeros(2),
             0.1,
+            problem.residual(np.zeros(2)),
         )
 
 
@@ -134,7 +135,8 @@ def test_non_finite_bordered_system_fails(where):
     tangent = np.array([np.nan if where == "tangent" else 0.0, 1.0])
     with pytest.raises(CorrectorFailure):
         bordered_newton_step(
-            problem, np.array([1.0, 0.1]), tangent, np.array([1.0, 0.0]), 0.1
+            problem, np.array([1.0, 0.1]), tangent, np.array([1.0, 0.0]), 0.1,
+            np.array([0.01]),
         )
 
 
@@ -147,21 +149,33 @@ def test_zero_bordered_matrix_fails():
     )
     with pytest.raises(CorrectorFailure):
         bordered_newton_step(
-            problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1
+            problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, np.zeros(1)
         )
 
 
 def test_known_residual_is_used_in_place_of_an_evaluation():
     problem, calls = counting_circle()
-    zeta = np.array([1.0, 0.1])
-    tangent = np.array([0.0, 1.0])
-    z_base = np.array([1.0, 0.0])
-    fresh = corrector_step(problem, zeta, tangent, z_base, 0.1)
-    assert len(calls) == 1
-    f = evaluate_residual(problem, zeta)
-    carried = corrector_step(problem, zeta, tangent, z_base, 0.1, f)
-    assert len(calls) == 2
-    assert carried.tobytes() == fresh.tobytes()
+    corrector_step(
+        problem, np.array([1.0, 0.1]), np.array([0.0, 1.0]),
+        np.array([1.0, 0.0]), 0.1, np.array([0.01]),
+    )
+    assert calls == []
+
+
+def test_an_overflowing_bordered_solve_fails():
+    # Both pivots pass the relative test (row scale 1), but the solve
+    # for the constraint row divides h = 1e300 by 1e-13.
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([z[0]]),
+        jacobian=lambda z: np.array([[1.0, 0.0]]),
+    )
+    with pytest.raises(CorrectorFailure, match="non-finite corrector update"):
+        bordered_newton_step(
+            problem, np.zeros(2), np.array([0.0, 1e-13]), np.zeros(2), 1e300,
+            np.zeros(1),
+        )
 
 
 def test_corrector_requires_jacobian_or_custom():
@@ -170,13 +184,13 @@ def test_corrector_requires_jacobian_or_custom():
     )
     with pytest.raises(ValueError):
         corrector_step(
-            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
         )
     # A Jacobian of the wrong shape is a contract error too.
     problem.jacobian = lambda z: np.ones((2, 2))
     with pytest.raises(ValueError, match="jacobian has shape"):
         corrector_step(
-            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
         )
 
 
@@ -194,7 +208,7 @@ def test_custom_corrector_dispatch():
         corrector=stepper,
     )
     out = corrector_step(
-        problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+        problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
     )
     assert calls == [1]
     assert out == pytest.approx(np.array([0.5, 0.5]))
@@ -209,13 +223,13 @@ def test_custom_corrector_output_checked():
     )
     with pytest.raises(CorrectorFailure):
         corrector_step(
-            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
         )
     # A wrong shape is a contract error, not a step failure.
     problem.corrector = lambda zeta, tangent, z_base, h: np.zeros(3)
     with pytest.raises(ValueError, match="corrector returned shape"):
         corrector_step(
-            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1
+            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
         )
 
 

@@ -281,6 +281,22 @@ def test_prune_keeps_base_step_when_some_children_survive():
     assert parent.h_base == 2.0
 
 
+def test_prune_counts_every_black_node_and_backs_off_once():
+    # The BLACK child's own BLACK child and GREEN child go with it; both
+    # BLACK nodes count, and the parent backs off once, for its one batch.
+    parent = make_node(Color.GREEN, nu=1, h_init=2.0)
+    black = make_node(Color.BLACK, nu=3, h_init=1.0)
+    black.children = [
+        make_node(Color.BLACK, nu=3, h_init=1.0),
+        make_node(Color.GREEN, nu=1, h_init=1.0),
+    ]
+    parent.children = [black]
+    params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
+    assert prune_tree(parent, params) == 2
+    assert parent.children == []
+    assert parent.h_base == 2.0 * (0.9 * 0.25 / 1.5)
+
+
 def test_prune_red_parent_drops_green_child(prune_fixture):
     # A red node cannot be part of any confirmed chain, so a green child
     # under it has no chain to justify it and is removed, while red
@@ -326,10 +342,20 @@ def random_tree(draw, depth=0):
 def test_prune_invariants(root):
     params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
     before = count_nodes(root)
-    prune_tree(root, params)
+    black = sum(1 for n in iter_nodes(root) if n.color is Color.BLACK)
+    # Each node's base step, and whether it has children, all of them BLACK.
+    state = {
+        n: (n.h_base, bool(n.children) and all(c.color is Color.BLACK for c in n.children))
+        for n in iter_nodes(root)
+    }
+    assert prune_tree(root, params) == black
     survivors = list(iter_nodes(root))
     assert count_nodes(root) <= before
     assert survivors[0] is root
+    # the base step changes exactly on the survivors whose children all failed
+    for node in survivors:
+        h_base, all_black = state[node]
+        assert (node.h_base != h_base) == all_black
     # no BLACK node survives
     assert all(n.color is not Color.BLACK for n in survivors)
     # at most one non-RED child anywhere; the rest must be RED
