@@ -2,12 +2,14 @@
 predictor-corrector arclength stepping.
 
 Both are deliberately simple single-branch loops.  They exist as
-correctness baselines (a tree one node wide and one level deep must
-reproduce the arclength stepper exactly while no predictor fails, since
-both size each next step with engine.next_step) and as the comparison
-column for benchmark runs.  Both return the engine's
-ContinuationResult, with failed predictors as its failures and no
-rounds, and each holds BLAS to one thread while it runs (see blas).
+correctness baselines and as the comparison column for benchmark runs.
+Like the tree, they pass each point, the start included, to
+engine.emit_point once, when it is accepted, and serial-pac sizes its
+steps with engine.next_step, so a tree one node wide and one level deep
+reproduces it bit for bit while no predictor fails, on the KS problem
+(whose on_accept hook re-anchors the phase) as on the circle.  Both
+return the engine's ContinuationResult, with failed predictors as its
+failures and no rounds, and hold BLAS to one thread (see blas).
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ def natural_continuation(
     that the arclength methods may shrink theirs by, so stop_reason sees
     it scaled by |h_init / delta_lambda|.  This baseline cannot pass a
     fold: the Jacobian in the state variables becomes singular there,
-    steps shrink, and the run ends in STEP_UNDERFLOW.  Accepted points,
-    the start included, are emitted through emit_point as in the tree
-    engine.
+    steps shrink, and the run ends in STEP_UNDERFLOW.
     """
-    point = start_point(problem, params, initial_point)
+    z = start_point(problem, params, initial_point).z
     accepted: list[CurvePoint] = []
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
@@ -60,21 +60,20 @@ def natural_continuation(
     failures = 0
     attempts = 0
     try:
-        emit_point(problem, params, point, accepted, sink)
-        z = point.z
+        emit_point(problem, params, z, accepted, sink)
         while True:
             reason = stop_reason(problem, params, z, h * to_arclength, attempts)
             if reason is not None:
                 break
             attempts += 1
-            point, taken = correct(problem, z, axis, h, params)
+            z_new, taken = correct(problem, z, axis, h, params)
             steps += taken
-            if point is None:
+            if z_new is None:
                 failures += 1
                 h *= 0.5
                 continue
-            emit_point(problem, params, point, accepted, sink)
-            z = point.z
+            emit_point(problem, params, z_new, accepted, sink)
+            z = z_new
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps, failures)
@@ -97,9 +96,7 @@ def serial_pac(
     the corrector needed fewer than max_iter - 1 iterations, shrinks when
     it needed more, and is capped at h_max.  On failure it halves.  The run
     ends by stop_reason on the last point, the step and the attempts
-    made, or when an accepted point fails re-verification.  Accepted
-    points, the start included, are emitted through emit_point as in the
-    tree engine.
+    made, or when an accepted point fails re-verification.
     """
     point0, tangent = bootstrap(problem, params, initial_point)
     accepted: list[CurvePoint] = []
@@ -108,24 +105,24 @@ def serial_pac(
     failures = 0
     attempts = 0
     try:
-        emit_point(problem, params, point0, accepted, sink)
         z = point0.z
+        emit_point(problem, params, z, accepted, sink)
         while True:
             reason = stop_reason(problem, params, z, h, attempts)
             if reason is not None:
                 break
             attempts += 1
-            point, taken = correct(problem, z, tangent, h, params)
+            z_new, taken = correct(problem, z, tangent, h, params)
             steps += taken
-            if point is None:
+            if z_new is None:
                 failures += 1
                 h *= 0.5
                 continue
-            secant = unit_secant(z, point.z)
+            secant = unit_secant(z, z_new)
             if secant is not None:
                 tangent = secant
-            emit_point(problem, params, point, accepted, sink)
-            z = point.z
+            emit_point(problem, params, z_new, accepted, sink)
+            z = z_new
             h = next_step(h, taken, params)
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE

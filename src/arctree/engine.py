@@ -5,9 +5,9 @@ speculative corrector sequences.  The root is the most recent accepted
 point.  Each round it seeds predictor children at every leaf (within the
 worker budget and depth cap), applies one corrector iteration to every
 unfinished node concurrently, recolors, prunes, and advances the root
-down a confirmed chain of converged points, streaming them to a sink.
-Each new root's base step comes from next_step, the step rule serial-pac
-shares.
+down a confirmed chain of converged points, emitting each point as it
+becomes the root.  Each new root's base step comes from next_step, the
+step rule serial-pac shares.
 
 Results are deterministic: each corrector task writes only its own node;
 colours and counts are applied in traversal order, so the number of
@@ -161,8 +161,8 @@ def start_point(
 ) -> CurvePoint:
     """Check that the initial point satisfies the residual tolerance.
 
-    A residual above tolerance or with non-finite entries raises
-    BootstrapError.
+    Returns the point with its residual norm; a residual above tolerance
+    or with non-finite entries raises BootstrapError.
     """
     z0 = np.array(initial_point, dtype=float)
     try:
@@ -216,12 +216,12 @@ def correct(
     tangent: Array,
     h: float,
     params: RunParams,
-) -> tuple[CurvePoint | None, int]:
+) -> tuple[Array | None, int]:
     """Predict a step h along tangent from z_base, then correct to tolerance.
 
     The sequence is one tree.seed node, advanced by step.  Returns the
-    converged point, or None when max_iter steps do not converge or a step
-    fails, together with the steps counted by the tree's rule: a step
+    converged iterate, or None when max_iter steps do not converge or a
+    step fails, together with the steps counted by the tree's rule: a step
     counts once the corrector has been called, and a non-finite predictor
     never counts.
     """
@@ -231,7 +231,7 @@ def correct(
         if not stepped:
             return None, 0 if stepped is None else node.nu + 1
         if node.residual_norm_current <= params.tol_residual:
-            return CurvePoint(node.zeta, node.residual_norm_current), node.nu
+            return node.zeta, node.nu
     return None, params.max_iter
 
 
@@ -252,24 +252,25 @@ def next_step(h: float, taken: int, params: RunParams) -> float:
 def emit_point(
     problem: ProblemDefinition,
     params: RunParams,
-    point: CurvePoint,
+    z: Array,
     accepted: list[CurvePoint],
     sink: Sink | None,
 ) -> None:
-    """Accept a point: refresh the problem, re-verify, then record it.
+    """Accept the iterate z: refresh the problem, re-verify, then record it.
 
-    The problem's on_accept hook runs first, so the residual is checked
-    against the refreshed problem; a point that fails raises an
+    The one acceptance rule of the tree and both baselines, applied to
+    each point once, when it is accepted.  on_accept runs first, so z is
+    checked against the refreshed problem; a point that fails raises
     EvaluationError and is neither recorded nor passed to the sink.
     """
     if problem.on_accept is not None:
-        problem.on_accept(point.z)
-    r = residual_norm(problem, point.z)
+        problem.on_accept(z)
+    r = residual_norm(problem, z)
     if r > params.tol_residual:
         raise EvaluationError(
             f"accepted point failed re-verification: residual {r:.3e}"
         )
-    verified = CurvePoint(point.z, r)
+    verified = CurvePoint(z, r)
     accepted.append(verified)
     if sink is not None:
         sink(verified)
@@ -299,7 +300,7 @@ def bootstrap(
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
         )
-    direction = unit_secant(z0, neighbor.z)
+    direction = unit_secant(z0, neighbor)
     if direction is None:
         raise BootstrapError("bootstrap secant is degenerate")
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
@@ -379,29 +380,28 @@ def corrector_round(
 
 
 def advance_root(
-    root: TreeNode, emit: Sink, params: RunParams
+    root: TreeNode, emit: Callable[[Array], None], params: RunParams
 ) -> tuple[TreeNode, int]:
-    """Move the root down the confirmed chain, emitting accepted points.
+    """Move the root down the confirmed chain, emitting each new root.
 
     While the root has exactly one child and that child is GREEN, the
-    root's point is emitted and the child becomes the new root.  Nothing
-    steps a GREEN node, so the new root seeds its children along the
-    secant from its predecessor, as every leaf does.  Its base step is
-    next_step of the step that seeded it and the corrector steps it took,
-    as serial-pac's step is after a success.  Returns the new root and
-    the number of points emitted.
+    child becomes the root and a copy of its iterate is emitted (so a
+    sink cannot move the root): a point is emitted when it is accepted.
+    Nothing steps a GREEN node, so the new root seeds its children along
+    the secant from its predecessor, as every leaf does.  Its base step
+    is next_step of the step that seeded it and the corrector steps it
+    took, as serial-pac's step is after a success.  Returns the new root
+    and the number of points emitted.
     """
     emitted = 0
     while len(root.children) == 1 and root.children[0].color is Color.GREEN:
-        child = root.children[0]
-        emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
-        root.children = []
-        root = child
+        root = root.children.pop()
         # Any backoff reduce_base_step applied to the child is discarded on
         # purpose.  Growing from the backed-off base instead,
         # next_step(root.h_base, ...), made ks128-tree crawl to
         # STEP_UNDERFLOW in 21543 rounds and 208387 corrector steps.
         root.h_base = next_step(root.h_init, root.nu, params)
+        emit(root.zeta.copy())
         emitted += 1
     return root, emitted
 
@@ -422,17 +422,18 @@ def run_continuation(
     when one is given, prune, advance the root; the BLACK nodes prune
     drops are the run's failures.  Stops by stop_reason on the root's
     point, its base step and the rounds executed, or when a round can
-    change nothing.  Points are emitted through emit_point, so
-    the sink sees only re-verified points; the final root is emitted at
-    termination.  An on_accept hook may change the residual, so after it
-    has run the residuals carried on the nodes are dropped.  n_workers
-    threads, the calling one included, serve each corrector round, and
-    BLAS runs on one thread throughout (see blas).
+    change nothing.  Each point goes through emit_point once, when it is
+    accepted: the start after bootstrap, every later point when it
+    becomes the root; nothing is emitted at termination.  An on_accept
+    hook may change the residual, so after it has run the residuals
+    carried on the nodes are dropped.  n_workers threads, the calling one
+    included, serve each corrector round, and BLAS runs on one thread
+    throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 
-    def emit(point: CurvePoint) -> None:
-        emit_point(problem, params, point, accepted, sink)
+    def emit(z: Array) -> None:
+        emit_point(problem, params, z, accepted, sink)
 
     rounds = 0
     steps_total = 0
@@ -441,6 +442,7 @@ def run_continuation(
         point0, direction = bootstrap(problem, params, initial_point)
         root = make_root(point0, direction, params)
         try:
+            emit(point0.z)
             while True:
                 reason = stop_reason(
                     problem, params, root.zeta, root.h_base, rounds
@@ -464,7 +466,6 @@ def run_continuation(
                     # of spinning to the round limit.
                     reason = TerminationReason.ITERATION_BUDGET
                     break
-            emit(CurvePoint(root.zeta.copy(), root.residual_norm_current))
         except EvaluationError:
             reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps_total, failures, rounds)

@@ -37,11 +37,11 @@ def _format_float(x: float) -> str:
 def parse_parameters(path: str | os.PathLike) -> RunParams:
     """Read a run-parameter file.
 
-    Raises ParameterError naming the offending key and line for unknown
-    keys, duplicates, bad numbers, missing required keys, or a scaling
-    list that is not exactly SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1}.
+    Raises ParameterError naming the file as given and the offending key
+    and line for unknown keys, duplicates, bad numbers, missing keys, or
+    scalings other than SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1}.
     """
-    path = Path(path)
+    name = os.fspath(path)
     seen: dict[str, float | int] = {}  # by field name
     scalings: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -52,42 +52,42 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
             parts = line.split()
             if len(parts) != 2:
                 raise ParameterError(
-                    f"{path.name}:{lineno}: expected 'KEY value', got {raw.strip()!r}"
+                    f"{name}:{lineno}: expected 'KEY value', got {raw.strip()!r}"
                 )
             key, text = parts
             if key.startswith("SCALE_PROCESS_"):
                 suffix = key[len("SCALE_PROCESS_") :]
                 if not suffix.isdigit():
                     raise ParameterError(
-                        f"{path.name}:{lineno}: bad scaling key {key!r}"
+                        f"{name}:{lineno}: bad scaling key {key!r}"
                     )
                 table, slot, convert = scalings, int(suffix), float
             elif key in _KEYS:
                 f = _KEYS[key]
                 table, slot, convert = seen, f.name, int if f.type == "int" else float
             else:
-                raise ParameterError(f"{path.name}:{lineno}: unknown key {key!r}")
+                raise ParameterError(f"{name}:{lineno}: unknown key {key!r}")
             if slot in table:
-                raise ParameterError(f"{path.name}:{lineno}: duplicate key {key!r}")
+                raise ParameterError(f"{name}:{lineno}: duplicate key {key!r}")
             try:
                 table[slot] = convert(text)
             except ValueError as exc:
                 raise ParameterError(
-                    f"{path.name}:{lineno}: bad value for {key}: {text!r}"
+                    f"{name}:{lineno}: bad value for {key}: {text!r}"
                 ) from exc
 
     missing = sorted(
         key for key, f in _KEYS.items() if f.default is MISSING and f.name not in seen
     )
     if missing:
-        raise ParameterError(f"{path.name}: missing required key(s): {', '.join(missing)}")
+        raise ParameterError(f"{name}: missing required key(s): {', '.join(missing)}")
 
     n_children = int(seen["max_children"])
     expected = set(range(n_children))
     if set(scalings) != expected:
         got = ", ".join(f"SCALE_PROCESS_{i}" for i in sorted(scalings)) or "none"
         raise ParameterError(
-            f"{path.name}: need SCALE_PROCESS_0 .. SCALE_PROCESS_{n_children - 1} "
+            f"{name}: need SCALE_PROCESS_0 .. SCALE_PROCESS_{n_children - 1} "
             f"to match MAX_CHILDREN={n_children}, got: {got}"
         )
 
@@ -113,7 +113,7 @@ def read_initial_point(path: str | os.PathLike) -> np.ndarray:
     """Read a single point: whitespace-separated floats, comments allowed.
 
     Text that is not a float, or a file with no values, raises ValueError
-    naming the file.
+    naming the file as given.
     """
     try:
         with warnings.catch_warnings():
@@ -121,9 +121,9 @@ def read_initial_point(path: str | os.PathLike) -> np.ndarray:
             warnings.simplefilter("ignore", UserWarning)
             values = np.loadtxt(path, comments="#", dtype=float)
     except ValueError as exc:
-        raise ValueError(f"{Path(path).name}: {exc}") from exc
+        raise ValueError(f"{os.fspath(path)}: {exc}") from exc
     if values.size == 0:
-        raise ValueError(f"{Path(path).name}: no values")
+        raise ValueError(f"{os.fspath(path)}: no values")
     return np.atleast_1d(values).ravel()
 
 

@@ -56,9 +56,10 @@ class ProblemDefinition:
     iteration with signature (zeta, tangent, z_base, h) -> new zeta and
     must be a pure function.  When corrector is None the problem must
     supply jacobian (shape (n_dim - 1, n_dim)) and the default bordered
-    Newton step is used.  on_accept, when given, is called with each
-    accepted point before it is re-verified and emitted, so a problem can
-    refresh internal templates such as a phase anchor.
+    Newton step is used; a problem with neither raises ValueError when it
+    is built.  on_accept, when given, is called with each accepted point
+    before it is re-verified and emitted, so a problem can refresh
+    internal templates such as a phase anchor.
     """
 
     n_dim: int
@@ -74,6 +75,8 @@ class ProblemDefinition:
             raise ValueError("n_dim must be at least 2")
         if not 0 <= self.lambda_index < self.n_dim:
             raise ValueError("lambda_index out of range")
+        if self.corrector is None and self.jacobian is None:
+            raise ValueError("a problem needs a jacobian or a corrector")
 
 
 def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
@@ -145,8 +148,6 @@ def bordered_newton_step(
     times the largest row norm, or any non-finite intermediate, raises
     CorrectorFailure.
     """
-    if problem.jacobian is None:
-        raise ValueError("bordered_newton_step requires problem.jacobian")
     zeta = np.asarray(zeta, dtype=float)
     n = problem.n_dim
     jac = np.asarray(problem.jacobian(zeta), dtype=float)

@@ -15,6 +15,7 @@ from arctree import (
     load_ks_fixture,
     natural_continuation,
     parse_parameters,
+    run_continuation,
     serial_pac,
 )
 from conftest import make_params
@@ -136,3 +137,30 @@ def test_serial_wastes_few_predictors_on_ks():
     assert trace.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     attempts = len(trace.accepted_points) - 1 + trace.failures
     assert trace.failures <= 0.1 * attempts
+
+
+def test_degenerate_tree_matches_serial_on_ks():
+    # One child per level, one level, unit scaling: the tree accepts the
+    # point serial-pac accepts, at the same moment, so the KS phase
+    # re-anchor (on_accept) runs at the same points in both, and the
+    # tree's curve is a bit-exact prefix of serial-pac's while no
+    # predictor fails.
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")),
+        max_depth=1,
+        max_children=1,
+        scalings=(1.0,),
+        h_init=-4.0,
+        h_max=4.0,
+        worker_budget=None,
+        round_limit=60,
+    )
+    z0, config = load_ks_fixture()
+    tree = run_continuation(ks_problem(config), params, z0)
+    _, config = load_ks_fixture()
+    serial = serial_pac(ks_problem(config), params, z0)
+    assert tree.failures == 0 and serial.failures == 0
+    a = np.array([p.z for p in tree.accepted_points])
+    b = np.array([p.z for p in serial.accepted_points])
+    assert 10 < len(a) < len(b)
+    assert np.array_equal(a, b[: len(a)])

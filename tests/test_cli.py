@@ -140,6 +140,20 @@ def test_wrong_point_size_is_a_usage_error(tmp_path, capsys):
     assert "N_DIM" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_an_empty_device_is_named_by_its_path(tmp_path, capsys):
+    rc = main(
+        [
+            "--params", str(data_path("circle.params")),
+            "--initial-point", "/dev/null",
+            "--outdir", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "arctree: /dev/null: no values\n"
+    assert not (tmp_path / "curve.txt").exists()
+
+
 def test_malformed_initial_point_is_a_usage_error(tmp_path, capsys):
     start = tmp_path / "start.txt"
     start.write_text("1.0 abc\n", encoding="utf-8")
@@ -152,7 +166,7 @@ def test_malformed_initial_point_is_a_usage_error(tmp_path, capsys):
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("arctree: start.txt: ") and "abc" in err
+    assert err.startswith(f"arctree: {start}: ") and "abc" in err
     assert not (tmp_path / "curve.txt").exists()
 
 
@@ -171,7 +185,7 @@ def test_an_initial_point_file_with_no_values_is_one_usage_line(tmp_path, capsys
         )
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("arctree: start.txt: ")
+    assert len(lines) == 1 and lines[0] == f"arctree: {start}: no values"
 
 
 def _outdir_is_a_file(tmp_path):
@@ -265,6 +279,11 @@ def unreadable_problem():
     raise OSError("problem data is unreadable")
 
 
+def circle_without_jacobian():
+    """The circle with neither a Jacobian nor a corrector: it cannot step."""
+    return replace(circle_problem(), jacobian=None)
+
+
 def test_unknown_problem_plugin_is_rejected(circle_args, tmp_path, capsys):
     for spec in (
         "no.such.module:thing",
@@ -272,9 +291,11 @@ def test_unknown_problem_plugin_is_rejected(circle_args, tmp_path, capsys):
         "test_cli:not_a_problem",
         "arctree.problems:grid",  # a factory that needs an argument
         "test_cli:unreadable_problem",  # a factory that raises OSError
+        "test_cli:circle_without_jacobian",  # a problem that cannot step
     ):
         assert main(circle_args("--problem", spec)) == 2
-        assert "arctree:" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("arctree: ")
         assert not (tmp_path / "curve.txt").exists()
 
 

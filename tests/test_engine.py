@@ -102,6 +102,14 @@ def test_bootstrap_rejects_unconverged_start():
         bootstrap(circle_problem(), params, np.array([1.1, 0.0]))
 
 
+def test_bootstrap_rejects_a_degenerate_secant():
+    # A parameter shift of 1e-15 moves the neighbor less than the secant
+    # floor, so no direction can be taken from it.
+    params = make_params(delta_lambda=1e-15)
+    with pytest.raises(BootstrapError, match="bootstrap secant is degenerate"):
+        bootstrap(circle_problem(), params, Z0)
+
+
 def test_bootstrap_reports_neighbor_failure():
     # One iteration cannot reach 1e-10 from a 0.3 parameter shift.
     params = make_params(delta_lambda=0.3, max_iter=1)
@@ -419,7 +427,9 @@ def test_advance_root_walks_single_green_chain():
     new_root, count = advance_root(root, emitted.append, make_params())
     assert count == 1
     assert new_root is mid
-    assert [p.z[1] for p in emitted] == [0.0]
+    # the point emitted is the one the root moves onto, as a copy
+    assert [z[1] for z in emitted] == [0.1]
+    assert emitted[0] is not mid.zeta
     # the new root seeds along the secant that produced it
     secant = mid.zeta - mid.z_init
     assert secant_direction(new_root) == pytest.approx(

@@ -129,7 +129,9 @@ def test_parse_rejects_unknown_key(tmp_path):
         ("SCALE_PROCESS_x 1.0", "bad scaling key 'SCALE_PROCESS_x'"),
     ]:
         lines = valid_lines() + [line]
-        assert parse_error(tmp_path, lines) == f"bad.params:{len(lines)}: {message}"
+        assert parse_error(tmp_path, lines) == (
+            f"{tmp_path / 'bad.params'}:{len(lines)}: {message}"
+        )
 
 
 def test_parse_rejects_duplicate_key(tmp_path):
@@ -138,7 +140,7 @@ def test_parse_rejects_duplicate_key(tmp_path):
         key = line.split()[0]
         lines = valid_lines() + [line]
         assert parse_error(tmp_path, lines) == (
-            f"bad.params:{len(lines)}: duplicate key {key!r}"
+            f"{tmp_path / 'bad.params'}:{len(lines)}: duplicate key {key!r}"
         )
 
 
@@ -148,7 +150,7 @@ def test_parse_rejects_bad_value(tmp_path):
         index = next(i for i, l in enumerate(lines) if l.startswith(key + " "))
         lines[index] = f"{key} {text}"
         assert parse_error(tmp_path, lines) == (
-            f"bad.params:{index + 1}: bad value for {key}: {text!r}"
+            f"{tmp_path / 'bad.params'}:{index + 1}: bad value for {key}: {text!r}"
         )
 
 

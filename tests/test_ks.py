@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import arctree.engine
+import arctree.problems
 from arctree import (
     KsConfig,
     TerminationReason,
@@ -290,6 +291,15 @@ def test_non_finite_amplitude_is_rejected(amplitude):
 def test_reference_profile_shape_is_checked():
     with pytest.raises(ValueError):
         KsConfig(n_grid=32, reference_profile=np.zeros(16))
+
+
+def test_fixture_with_the_wrong_entry_count_is_rejected(tmp_path, monkeypatch):
+    # 129 values: one short of the 128 profile entries, c and lambda.
+    short = tmp_path / "ks_start_n128.txt"
+    short.write_text("\n".join(["0.0"] * 129) + "\n", encoding="utf-8")
+    monkeypatch.setattr(arctree.problems, "data_path", lambda name: tmp_path / name)
+    with pytest.raises(ValueError, match="fixture has 129 entries, expected 130"):
+        load_ks_fixture()
 
 
 def test_config_copies_its_reference():

@@ -25,17 +25,25 @@ def test_problem_definition_validation():
         ProblemDefinition(n_dim=3, lambda_index=3, residual=lambda z: z)
 
 
+def no_jacobian(z):
+    """A Jacobian stub for problems whose residual alone is under test."""
+    raise AssertionError("the Jacobian is not evaluated here")
+
+
 def test_evaluate_residual_shape_and_finiteness():
     problem = circle_problem()
     with pytest.raises(ValueError):
         evaluate_residual(problem, np.zeros(3))
     bad = ProblemDefinition(
-        n_dim=2, lambda_index=1, residual=lambda z: np.array([np.nan])
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([np.nan]),
+        jacobian=no_jacobian,
     )
     with pytest.raises(EvaluationError):
         evaluate_residual(bad, np.zeros(2))
     wrong_shape = ProblemDefinition(
-        n_dim=2, lambda_index=1, residual=lambda z: np.zeros(2)
+        n_dim=2, lambda_index=1, residual=lambda z: np.zeros(2), jacobian=no_jacobian
     )
     with pytest.raises(ValueError):
         evaluate_residual(wrong_shape, np.zeros(2))
@@ -179,15 +187,16 @@ def test_an_overflowing_bordered_solve_fails():
 
 
 def test_corrector_requires_jacobian_or_custom():
-    problem = ProblemDefinition(
-        n_dim=2, lambda_index=1, residual=lambda z: np.array([z[0]])
-    )
-    with pytest.raises(ValueError):
-        corrector_step(
-            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
-        )
+    # A problem that cannot take a corrector step is refused when built.
+    with pytest.raises(ValueError, match="jacobian or a corrector"):
+        ProblemDefinition(n_dim=2, lambda_index=1, residual=lambda z: np.array([z[0]]))
     # A Jacobian of the wrong shape is a contract error too.
-    problem.jacobian = lambda z: np.ones((2, 2))
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([z[0]]),
+        jacobian=lambda z: np.ones((2, 2)),
+    )
     with pytest.raises(ValueError, match="jacobian has shape"):
         corrector_step(
             problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
