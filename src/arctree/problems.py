@@ -65,6 +65,8 @@ def spectral_operators(n: int) -> tuple[Array, Array, Array, Array]:
     mode is zeroed for odd derivative orders (it carries no usable sign
     information on a real grid).  The projector zeroes every mode above
     n // 3, the classic two-thirds rule for a quadratic nonlinearity.
+    D1, D2 and D4 are the planes of one (3, n, n) array, which
+    stacked_derivatives views flat.
     """
     eye = np.eye(n)
     spec = np.fft.rfft(eye, axis=0)
@@ -76,16 +78,16 @@ def spectral_operators(n: int) -> tuple[Array, Array, Array, Array]:
     d1_mult = 1j * k
     if n % 2 == 0:
         d1_mult[-1] = 0.0
-    d1 = back(d1_mult)
-    d2 = back(-(k**2) + 0j)
-    d4 = back(k**4 + 0j)
+    derivatives = np.empty((3, n, n))
+    for plane, mult in zip(derivatives, (d1_mult, -(k**2) + 0j, k**4 + 0j)):
+        plane[...] = back(mult)
     mask = (k <= n // 3).astype(float) + 0j
     dealias = back(mask)
-    operators = (d1, d2, d4, dealias)
-    for op in operators:
-        # Cached and shared by every later call: never to be written.
-        op.setflags(write=False)
-    return operators
+    # Cached and shared by every later call: never to be written.  Views of
+    # the read-only stack are read-only too.
+    derivatives.setflags(write=False)
+    dealias.setflags(write=False)
+    return (*derivatives, dealias)
 
 
 @lru_cache(maxsize=8)
@@ -113,17 +115,14 @@ def removed_modes(n: int) -> tuple[Array, Array]:
     return basis, transposed
 
 
-@lru_cache(maxsize=8)
 def stacked_derivatives(n: int) -> Array:
     """D1, D2 and D4 flattened into the rows of one (3, n * n) array.
 
     [a, b, c] @ stacked_derivatives(n) is a D1 + b D2 + c D4, flattened,
-    in one product.  Read-only, like the operators it is built from.
+    in one product.  A read-only view of the array spectral_operators
+    holds them in, not a copy.
     """
-    d1, d2, d4, _ = spectral_operators(n)
-    stacked = np.stack([d1, d2, d4]).reshape(3, n * n)
-    stacked.setflags(write=False)
-    return stacked
+    return spectral_operators(n)[0].base.reshape(3, n * n)
 
 
 def grid(n: int) -> Array:

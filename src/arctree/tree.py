@@ -11,13 +11,16 @@ corrector round:
           decay between consecutive iterates),
   RED     still in progress.
 
-Pruning is one top-down walk: a node whose children all diverged has
-its base step backed off, then it keeps its RED children and at most
-one GREEN-or-YELLOW child, chosen by comparing arclength gained per
-corrector iteration along the best fully converged chain against the
-best chain that still needs one more iteration at its tip.  BLACK
-children never survive; RED ones may still become the fastest route.
-The walk returns the number of failed (BLACK) sequences it dropped.
+Pruning is two flat passes.  The first tabulates, bottom-up, the best
+fully converged and the best nearly converged chain rooted at every
+node.  The second visits every node once, in any order: a node whose
+children all diverged has its base step backed off, then it keeps its
+RED children and at most one GREEN-or-YELLOW child, chosen by comparing
+arclength gained per corrector iteration along the best fully converged
+chain against the best chain that still needs one more iteration at its
+tip.  BLACK children never survive; RED ones may still become the
+fastest route.  Pruning returns the number of failed (BLACK) sequences
+it dropped.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
 def unit_secant(a: Array, b: Array) -> Array | None:
     """Unit vector from a to b, or None when ||b - a|| < SECANT_FLOOR."""
     d = b - a
-    norm = float(np.linalg.norm(d))
+    norm = math.sqrt(d.dot(d))
     if norm < SECANT_FLOOR:
         return None
     return d / norm
@@ -211,30 +214,24 @@ def _path_table(
     A chain is valid when every node on it is GREEN and viable when every
     node is GREEN or YELLOW.  Best means largest summed seed length, with
     ties broken toward the smaller cost and then toward the earlier
-    child.  Computed bottom-up so each node extends its children's best
-    chains by its own seed step.
+    child.  One loop over the tree in reverse preorder, so each node
+    comes after all of its descendants and extends its children's best
+    chains by its own seed step.  The table keeps that order.
     """
     table: dict[TreeNode, tuple[PathMetrics | None, PathMetrics | None]] = {}
-
-    def visit(node: TreeNode) -> None:
+    for node in reversed(list(iter_nodes(root))):
+        valid = viable = None
+        if node.color in (Color.GREEN, Color.YELLOW):
+            viable = PathMetrics(abs(node.h_init), node.nu, [node])
+        if node.color is Color.GREEN:
+            valid = PathMetrics(abs(node.h_init), node.nu, [node])
         for child in node.children:
-            visit(child)
-
-        def best_chain(own_ok: bool, pick_valid: bool) -> PathMetrics | None:
-            if not own_ok:
-                return None
-            best = PathMetrics(abs(node.h_init), node.nu, [node])
-            for child in node.children:
-                sub = table[child][0 if pick_valid else 1]
-                if sub is not None:
-                    best = _extend(node, child, sub, best)
-            return best
-
-        valid = best_chain(node.color is Color.GREEN, True)
-        viable = best_chain(node.color in (Color.GREEN, Color.YELLOW), False)
+            child_valid, child_viable = table[child]
+            if valid is not None and child_valid is not None:
+                valid = _extend(node, child, child_valid, valid)
+            if viable is not None and child_viable is not None:
+                viable = _extend(node, child, child_viable, viable)
         table[node] = (valid, viable)
-
-    visit(root)
     return table
 
 
@@ -282,26 +279,28 @@ def reduce_base_step(node: TreeNode, scalings: tuple[float, ...]) -> None:
 
 
 def prune_tree(root: TreeNode, params: RunParams) -> int:
-    """Thin the tree in one top-down walk; return the failed sequences.
+    """Thin the tree in two flat passes; return the failed sequences.
 
-    Chain metrics are computed for every node first; a BLACK node roots
-    no chain, so they are the same as if the BLACK subtrees were gone.
-    The walk visits the root and every child it keeps.  A visited node
+    The first pass is _path_table: chain metrics for every node.  A BLACK
+    node roots no chain, so they are the same as if the BLACK subtrees
+    were gone.  The second is one loop over the table's nodes.  A node
     whose children are all BLACK has its base step reduced before it
     respawns.  Then its best viable chain fixes a candidate child to
     keep; if some other child roots an all-GREEN alternative chain, the
     faster of the two (per choose_best_path) wins.  The node keeps that
     child and its RED children; every other child, BLACK ones included,
-    is deleted with its subtree.  Returns the number of BLACK nodes in
-    the tree before pruning: the failed corrector sequences.
+    is deleted with its subtree.  The order of the loop does not matter:
+    a node's choice reads only its own child list, which no other node
+    changes, and the table, which is complete before the loop starts;
+    a choice made inside a subtree that an ancestor drops can no longer
+    be reached.  Returns the number of BLACK nodes in the tree before
+    pruning: the failed corrector sequences.
     """
     table = _path_table(root)
-
-    def thin(node: TreeNode) -> None:
+    for node, (_, viable) in table.items():
         if node.children and all(c.color is Color.BLACK for c in node.children):
             reduce_base_step(node, params.scalings)
         keep = None
-        viable = table[node][1]
         if viable is not None and len(viable.nodes) >= 2:
             viable_child = viable.nodes[1]
             alternative = None
@@ -313,10 +312,6 @@ def prune_tree(root: TreeNode, params: RunParams) -> int:
         node.children = [
             c for c in node.children if c is keep or c.color is Color.RED
         ]
-        for child in node.children:
-            thin(child)
-
-    thin(root)
     return sum(1 for node in table if node.color is Color.BLACK)
 
 

@@ -11,6 +11,7 @@ from arctree.tree import (
     Color,
     PathMetrics,
     TreeNode,
+    _extend,
     assign_color,
     breadth_first_leaves,
     choose_best_path,
@@ -382,3 +383,149 @@ def test_path_metrics_invariants(root):
             assert all(
                 n.color in (Color.GREEN, Color.YELLOW) for n in viable.nodes
             )
+
+
+# ---------------------------------------------------------------------------
+# Pruning: the recursive two-walk version as the oracle
+# ---------------------------------------------------------------------------
+
+
+def recursive_path_table(root):
+    """The chain table built by recursion, one closure per node."""
+    table = {}
+
+    def visit(node):
+        for child in node.children:
+            visit(child)
+
+        def best_chain(own_ok, pick_valid):
+            if not own_ok:
+                return None
+            best = PathMetrics(abs(node.h_init), node.nu, [node])
+            for child in node.children:
+                sub = table[child][0 if pick_valid else 1]
+                if sub is not None:
+                    best = _extend(node, child, sub, best)
+            return best
+
+        valid = best_chain(node.color is Color.GREEN, True)
+        viable = best_chain(node.color in (Color.GREEN, Color.YELLOW), False)
+        table[node] = (valid, viable)
+
+    visit(root)
+    return table
+
+
+def recursive_prune_tree(root, params):
+    """Pruning as one recursive top-down walk over the kept children."""
+    table = recursive_path_table(root)
+
+    def thin(node):
+        if node.children and all(c.color is Color.BLACK for c in node.children):
+            reduce_base_step(node, params.scalings)
+        keep = None
+        viable = table[node][1]
+        if viable is not None and len(viable.nodes) >= 2:
+            viable_child = viable.nodes[1]
+            alternative = None
+            for child in node.children:
+                if child is not viable_child and child.color is Color.GREEN:
+                    alternative = _extend(node, child, table[child][0], alternative)
+            keep = choose_best_path(alternative, viable).nodes[1]
+        node.children = [
+            c for c in node.children if c is keep or c.color is Color.RED
+        ]
+        for child in node.children:
+            thin(child)
+
+    thin(root)
+    return sum(1 for node in table if node.color is Color.BLACK)
+
+
+def seeded_tree(seed):
+    """A random tree (depth <= 4, <= 3 children) and its nodes in build order.
+
+    Seed steps take four magnitudes, multiples of 1/4, so every chain
+    length is an exact sum and ties, in length and in cost, are common.
+    """
+    rng = np.random.default_rng(seed)
+    colors = list(Color)
+    nodes = []
+
+    def build(depth):
+        node = make_node(
+            colors[rng.integers(len(colors))],
+            nu=int(rng.integers(0, 6)),
+            h_init=float(rng.choice([-1, 1]) * rng.integers(1, 5) / 4),
+            nu_init=int(rng.integers(0, 4)),
+        )
+        nodes.append(node)
+        if depth < 4:
+            node.children = [build(depth + 1) for _ in range(rng.integers(0, 4))]
+        return node
+
+    return build(0), nodes
+
+
+def chain_ids(metrics, index):
+    if metrics is None:
+        return None
+    return metrics.length, metrics.cost, [index[n] for n in metrics.nodes]
+
+
+def root_down_chains(node):
+    """Every chain that starts at node and runs down through its children."""
+    yield [node]
+    for child in node.children:
+        for chain in root_down_chains(child):
+            yield [node] + chain
+
+
+def chain_score(chain):
+    """(length, cost) of a chain, accumulated leaf-up as PathMetrics defines."""
+    length, cost = abs(chain[-1].h_init), chain[-1].nu
+    for node, below in zip(chain[-2::-1], chain[:0:-1]):
+        length = abs(node.h_init) + length
+        cost = max(node.nu, cost + below.nu_init)
+    return length, cost
+
+
+# 300 seeded trees, in ten batches of 30.
+@pytest.mark.parametrize("first", range(0, 300, 30))
+def test_compute_paths_matches_recursive_table_and_exhaustive_search(first):
+    for s in range(first, first + 30):
+        root, nodes = seeded_tree(s)
+        index = {node: i for i, node in enumerate(nodes)}
+        oracle = recursive_path_table(root)
+        for node in nodes:
+            valid, viable = compute_paths(node)
+            assert chain_ids(valid, index) == chain_ids(oracle[node][0], index)
+            assert chain_ids(viable, index) == chain_ids(oracle[node][1], index)
+            for found, allowed in (
+                (valid, (Color.GREEN,)),
+                (viable, (Color.GREEN, Color.YELLOW)),
+            ):
+                scores = [
+                    chain_score(chain)
+                    for chain in root_down_chains(node)
+                    if all(n.color in allowed for n in chain)
+                ]
+                best = max(scores, key=lambda lc: (lc[0], -lc[1]), default=None)
+                assert (None if found is None else (found.length, found.cost)) == best
+
+
+@pytest.mark.parametrize("first", range(0, 300, 30))
+def test_prune_tree_matches_recursive_walk(first):
+    params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
+    for s in range(first, first + 30):
+        (root, nodes), (oracle_root, oracle_nodes) = seeded_tree(s), seeded_tree(s)
+        assert prune_tree(root, params) == recursive_prune_tree(oracle_root, params)
+        index = {node: i for i, node in enumerate(nodes)}
+        oracle_index = {node: i for i, node in enumerate(oracle_nodes)}
+        survivors = [index[n] for n in iter_nodes(root)]
+        assert survivors == [oracle_index[n] for n in iter_nodes(oracle_root)]
+        for i in survivors:
+            assert [index[c] for c in nodes[i].children] == [
+                oracle_index[c] for c in oracle_nodes[i].children
+            ]
+            assert nodes[i].h_base == oracle_nodes[i].h_base
