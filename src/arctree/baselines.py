@@ -7,9 +7,9 @@ Like the tree, they pass each point, the start included, to
 engine.emit_point once, when it is accepted, and serial-pac sizes its
 steps with engine.next_step, so a tree one node wide and one level deep
 reproduces it bit for bit while no predictor fails, on the KS problem
-(whose on_accept hook re-anchors the phase) as on the circle.  Both
-return the engine's ContinuationResult, with failed predictors as its
-failures and no rounds, and hold BLAS to one thread (see blas).
+as on the circle, each attempt anchored at its base point.  Both return
+the engine's ContinuationResult, with failed predictors as its failures
+and no rounds, and hold BLAS to one thread (see blas).
 """
 
 from __future__ import annotations

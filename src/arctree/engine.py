@@ -43,7 +43,6 @@ from .tree import (
     TreeNode,
     assign_color,
     breadth_first_leaves,
-    iter_nodes,
     prune_tree,
     secant_direction,
     seed,
@@ -180,8 +179,8 @@ def start_point(
 def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
     """Advance the node's corrector sequence by one step, in place.
 
-    The one place a step failure is caught; none is raised.  A node with
-    no residual (fresh, or made stale by an on_accept hook) first has F
+    The one place a step failure is caught; none is raised.  F is taken
+    at base z_init, as the bordered row is.  A fresh node first has F
     evaluated at its iterate and takes that norm as its current one; a
     non-finite residual there sets it to inf and returns None, unstepped.
     A failed step, or a non-finite residual at the new iterate, returns
@@ -191,7 +190,7 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
     """
     if node.residual is None:
         try:
-            node.residual = evaluate_residual(problem, node.zeta)
+            node.residual = evaluate_residual(problem, node.zeta, node.z_init)
         except EvaluationError:
             node.residual_norm_current = math.inf
             return None
@@ -200,7 +199,7 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
         zeta = corrector_step(
             problem, node.zeta, node.t_init, node.z_init, node.h_init, node.residual
         )
-        f = evaluate_residual(problem, zeta)
+        f = evaluate_residual(problem, zeta, node.z_init)
     except (CorrectorFailure, EvaluationError):
         return False
     node.zeta, node.residual = zeta, f
@@ -256,15 +255,13 @@ def emit_point(
     accepted: list[CurvePoint],
     sink: Sink | None,
 ) -> None:
-    """Accept the iterate z: refresh the problem, re-verify, then record it.
+    """Accept the iterate z: re-verify it, then record it.
 
     The one acceptance rule of the tree and both baselines, applied to
-    each point once, when it is accepted.  on_accept runs first, so z is
-    checked against the refreshed problem; a point that fails raises
+    each point once, when it is accepted.  z is checked as its own base
+    point, as start_point checks the start; a point that fails raises
     EvaluationError and is neither recorded nor passed to the sink.
     """
-    if problem.on_accept is not None:
-        problem.on_accept(z)
     r = residual_norm(problem, z)
     if r > params.tol_residual:
         raise EvaluationError(
@@ -330,9 +327,10 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
     spawn.  Each leaf seeds one child per scaling (tree.seed), in
     ascending scaling order, from its current iterate along its
     secant_direction: one rule for every leaf, the root included.
-    Children whose step magnitude would exceed h_max are skipped.  Spawning stops when the budget is
-    exhausted.  Returns the number of children created.  A child's
-    residual is evaluated in its first corrector round, not here.
+    Children whose step magnitude would exceed h_max are skipped.
+    Spawning stops when the budget is exhausted.  Returns the number of
+    children created.  A child's residual is evaluated in its first
+    corrector round, not here.
     """
     if budget <= 0:
         return 0
@@ -424,11 +422,9 @@ def run_continuation(
     point, its base step and the rounds executed, or when a round can
     change nothing.  Each point goes through emit_point once, when it is
     accepted: the start after bootstrap, every later point when it
-    becomes the root; nothing is emitted at termination.  An on_accept
-    hook may change the residual, so after it has run the residuals
-    carried on the nodes are dropped.  n_workers threads, the calling one
-    included, serve each corrector round, and BLAS runs on one thread
-    throughout (see blas).
+    becomes the root; nothing is emitted at termination.  n_workers
+    threads, the calling one included, serve each corrector round, and
+    BLAS runs on one thread throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 
@@ -458,9 +454,6 @@ def run_continuation(
                     export_dot(root, rounds, dot_dir)
                 failures += prune_tree(root, params)
                 root, emitted = advance_root(root, emit, params)
-                if emitted and problem.on_accept is not None:
-                    for node in iter_nodes(root):
-                        node.residual = None
                 if spawned == 0 and steps == 0 and emitted == 0:
                     # Nothing can change from here on; give up now instead
                     # of spinning to the round limit.

@@ -57,18 +57,19 @@ class ProblemDefinition:
     must be a pure function.  When corrector is None the problem must
     supply jacobian (shape (n_dim - 1, n_dim)) and the default bordered
     Newton step is used; a problem with neither raises ValueError when it
-    is built.  on_accept, when given, is called with each accepted point
-    before it is re-verified and emitted, so a problem can refresh
-    internal templates such as a phase anchor.
+    is built.  An anchored problem's residual and jacobian take a second
+    argument, z_base: the seed point of the sequence being corrected, or
+    z itself when a point is re-verified.  A phase condition reads its
+    anchor there, so no problem needs mutable state.
     """
 
     n_dim: int
     lambda_index: int
-    residual: Callable[[Array], Array]
+    residual: Callable[..., Array]
     corrector: Callable[[Array, Array, Array, float], Array] | None = None
-    jacobian: Callable[[Array], Array] | None = None
+    jacobian: Callable[..., Array] | None = None
     name: str = ""
-    on_accept: Callable[[Array], None] | None = None
+    anchored: bool = False
 
     def __post_init__(self) -> None:
         if self.n_dim < 2:
@@ -79,9 +80,12 @@ class ProblemDefinition:
             raise ValueError("a problem needs a jacobian or a corrector")
 
 
-def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
+def evaluate_residual(
+    problem: ProblemDefinition, z: Array, z_base: Array | None = None
+) -> Array:
     """Evaluate F(z), checking shapes and finiteness.
 
+    An anchored problem is handed z_base, or z itself when it is None.
     Dimension mismatches are contract errors (ValueError).  Non-finite
     output raises EvaluationError so callers can fail the affected
     corrector sequence instead of crashing.
@@ -91,7 +95,8 @@ def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
         raise ValueError(
             f"point has shape {z.shape}, expected ({problem.n_dim},)"
         )
-    out = np.asarray(problem.residual(z), dtype=float)
+    base = (z if z_base is None else z_base,) if problem.anchored else ()
+    out = np.asarray(problem.residual(z, *base), dtype=float)
     if out.shape != (problem.n_dim - 1,):
         raise ValueError(
             f"residual has shape {out.shape}, expected ({problem.n_dim - 1},)"
@@ -102,7 +107,7 @@ def evaluate_residual(problem: ProblemDefinition, z: Array) -> Array:
 
 
 def residual_norm(problem: ProblemDefinition, z: Array) -> float:
-    """Euclidean norm of the residual at z."""
+    """Euclidean norm of the residual at z, anchored at z itself."""
     f = evaluate_residual(problem, z)
     return math.sqrt(f.dot(f))
 
@@ -143,14 +148,15 @@ def bordered_newton_step(
     and returns zeta + d.  The constraint row keeps the iterate on the
     hyperplane at signed distance h from z_base along tangent, so the
     update is well defined at folds.  f is F(zeta), as returned by
-    evaluate_residual; the step never evaluates the residual itself.
+    evaluate_residual at base z_base; the step never evaluates it.
     Dense LU with partial pivoting; a pivot below SINGULAR_PIVOT_RTOL
     times the largest row norm, or any non-finite intermediate, raises
     CorrectorFailure.
     """
     zeta = np.asarray(zeta, dtype=float)
     n = problem.n_dim
-    jac = np.asarray(problem.jacobian(zeta), dtype=float)
+    base = (z_base,) if problem.anchored else ()
+    jac = np.asarray(problem.jacobian(zeta, *base), dtype=float)
     if jac.shape != (n - 1, n):
         raise ValueError(
             f"jacobian has shape {jac.shape}, expected ({n - 1}, {n})"

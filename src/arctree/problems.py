@@ -14,17 +14,18 @@ Two problems ship with the package:
 
   discretized pseudo-spectrally on n equispaced points.  The unknowns
   are the grid values of w, the wave speed c, and the viscosity lambda;
-  the extra equation pins the translation phase against a reference
-  profile.  The sin(u) term breaks Galilean invariance so the wave speed
-  is well defined, and the branch has several folds, which makes it a
-  demanding continuation target.
+  the extra equation pins the translation phase against the previous
+  solution, as AUTO does: each corrector sequence's own base point.  The
+  sin(u) term breaks Galilean invariance so the wave speed is well
+  defined, and the branch has several folds, which makes it a demanding
+  continuation target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -130,25 +131,17 @@ def grid(n: int) -> Array:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass
+@dataclass(frozen=True)
 class KsConfig:
     """Discretization and closure data for the travelling-wave problem.
 
-    reference_profile anchors the phase condition; the problem's
-    on_accept hook refreshes it to the most recent accepted profile so the
-    condition stays well scaled as the wave deforms along the branch.
-    Refresh it by assigning a new array, not by writing into the old one:
-    its derivative is cached per array (see phase_gradient).
+    Frozen; reference_profile is a read-only copy (zeros by default) that
+    anchors the phase only where ks_residual and ks_jacobian get no base.
     """
 
     n_grid: int
     amplitude: float = 8.09
     reference_profile: Array = field(default=None)  # type: ignore[assignment]
-    # (reference_profile, D1 @ reference_profile), swapped as one tuple so a
-    # thread never sees the derivative of another profile.
-    _phase: tuple[Array, Array] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         n = self.n_grid
@@ -157,22 +150,13 @@ class KsConfig:
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.reference_profile is None:
-            self.reference_profile = np.zeros(n)
+            ref = np.zeros(n)
         else:
-            self.reference_profile = np.asarray(
-                self.reference_profile, dtype=float
-            ).copy()
-            if self.reference_profile.shape != (n,):
+            ref = np.array(self.reference_profile, dtype=float)
+            if ref.shape != (n,):
                 raise ValueError("reference_profile must have n_grid entries")
-
-    def phase_gradient(self) -> Array:
-        """D1 @ reference_profile, computed once per reference array."""
-        ref = self.reference_profile
-        cached = self._phase
-        if cached is None or cached[0] is not ref:
-            cached = (ref, spectral_operators(self.n_grid)[0] @ ref)
-            self._phase = cached
-        return cached[1]
+        ref.setflags(write=False)
+        object.__setattr__(self, "reference_profile", ref)
 
     @property
     def n_dim(self) -> int:
@@ -184,16 +168,19 @@ class KsConfig:
         return self.n_grid + 1
 
 
-def ks_residual(config: KsConfig, z: Array) -> Array:
+def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Array:
     """PDE rows on the grid plus one phase-pinning row.
 
     The quadratic term w * w' is formed pointwise and then dealiased;
     all derivatives are spectral.  The phase row is the inner product of
     (w - w_ref) with w_ref', scaled by 1/n so its magnitude is
-    grid-size independent.
+    grid-size independent.  w_ref is the profile of the base point
+    z_base, or config.reference_profile when no base is given; at
+    z_base = z the row is exactly 0.0.
     """
     n = config.n_grid
-    dealias = spectral_operators(n)[3]
+    d1, _, _, dealias = spectral_operators(n)
+    ref = config.reference_profile if z_base is None else z_base[:n]
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
@@ -217,12 +204,12 @@ def ks_residual(config: KsConfig, z: Array) -> Array:
     forcing = np.sin(w)
     forcing *= config.amplitude
     pde -= forcing
-    out[n] = np.dot(w - config.reference_profile, config.phase_gradient()) / n
+    out[n] = np.dot(w - ref, np.dot(d1, ref)) / n
     return out
 
 
-def ks_jacobian(config: KsConfig, z: Array) -> Array:
-    """Analytic Jacobian of ks_residual, shape (n + 1, n + 2).
+def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Array:
+    """Analytic Jacobian of ks_residual at base z_base, shape (n + 1, n + 2).
 
     The matrix is dense because of the sin(w) term.  Columns are ordered
     (w, c, lambda) to match the state layout.  The state block is
@@ -237,6 +224,7 @@ def ks_jacobian(config: KsConfig, z: Array) -> Array:
     n = config.n_grid
     d1 = spectral_operators(n)[0]
     stacked = stacked_derivatives(n)
+    ref = config.reference_profile if z_base is None else z_base[:n]
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
@@ -259,24 +247,23 @@ def ks_jacobian(config: KsConfig, z: Array) -> Array:
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     out[:n, n + 1] = d4w
-    np.divide(config.phase_gradient(), n, out=out[n, :n])
+    np.divide(np.dot(d1, ref), n, out=out[n, :n])
     out[n, n:] = 0.0
     return out
 
 
 def ks_problem(config: KsConfig) -> ProblemDefinition:
-    """The travelling-wave problem; each accepted point re-anchors its phase."""
+    """The travelling-wave problem, its phase anchored at each sequence's base.
 
-    def reanchor(z: Array) -> None:
-        config.reference_profile = np.array(z[: config.n_grid])
-
+    Called with z alone, residual and jacobian anchor at reference_profile.
+    """
     return ProblemDefinition(
         n_dim=config.n_dim,
         lambda_index=config.lambda_index,
-        residual=lambda z: ks_residual(config, z),
-        jacobian=lambda z: ks_jacobian(config, z),
+        residual=partial(ks_residual, config),
+        jacobian=partial(ks_jacobian, config),
         name="ks",
-        on_accept=reanchor,
+        anchored=True,
     )
 
 

@@ -62,12 +62,11 @@ class TreeNode:
     h_base is the adaptive base step scaled to seed this node's children.
     It starts as the node's own seed step; when the node becomes the root
     it is reset from h_init and nu (engine.next_step), and it shrinks
-    whenever all of the node's children diverge.  residual is F(zeta),
-    kept for the next corrector step, or None when it is unknown or
-    stale; residual_norm_current is its norm (inf until first evaluated)
-    and residual_norm_previous the norm the last step started from, None
-    exactly while nu == 0.  engine.step re-evaluates a missing residual
-    first, so both norms are taken under the same problem.
+    whenever all of the node's children diverge.  residual is F(zeta) at
+    base z_init, kept for the next corrector step, or None while the node
+    is fresh; residual_norm_current is its norm (inf until first
+    evaluated) and residual_norm_previous the norm the last step started
+    from, None exactly while nu == 0, both at the same base.
     """
 
     zeta: Array

@@ -141,10 +141,9 @@ def test_serial_wastes_few_predictors_on_ks():
 
 def test_degenerate_tree_matches_serial_on_ks():
     # One child per level, one level, unit scaling: the tree accepts the
-    # point serial-pac accepts, at the same moment, so the KS phase
-    # re-anchor (on_accept) runs at the same points in both, and the
-    # tree's curve is a bit-exact prefix of serial-pac's while no
-    # predictor fails.
+    # point serial-pac accepts, from the same base point, so the KS phase
+    # is anchored at the same points in both, and the tree's curve is a
+    # bit-exact prefix of serial-pac's while no predictor fails.
     params = replace(
         parse_parameters(data_path("ks_n128.params")),
         max_depth=1,

@@ -91,8 +91,9 @@ def test_summary_line_wording(circle_args, tmp_path, capsys, algo, rounds, failu
 
 @pytest.mark.parametrize("algo", ["pampac", "serial-pac", "natural"])
 def test_curve_holds_only_verified_points(circle_args, tmp_path, capsys, algo):
-    # The problem's on_accept hook breaks it before the start point is
-    # re-verified, so nothing may reach curve.txt.
+    # The problem fails every re-verification after the start point's
+    # check, so the start point is not emitted and nothing may reach
+    # curve.txt.
     argv = circle_args("--problem", "test_engine:corrupting_problem", algo=algo)
     assert main(argv) == 1
     out = capsys.readouterr().out

@@ -295,10 +295,11 @@ def test_non_finite_predictor_blackens_only_its_child():
 
 
 def test_a_stale_residual_is_re_evaluated_into_the_norm_mu_compares():
-    # An on_accept hook may change the residual (the spectral problem
-    # re-anchors its phase), and the engine then drops carried residuals.
-    # The next step's mu test must compare against the norm at the same
-    # iterate under the changed residual, not the one carried from before.
+    # A node that carries no residual, as a fresh one does, has F
+    # evaluated at its iterate before it steps.  Here the residual changes
+    # and the carried one is dropped by hand, so the next step's mu test
+    # must compare against the norm under the changed residual, not the
+    # one carried from before.
     offset = [0.0]
     inner = slow_problem()
     problem = replace(inner, residual=lambda z: inner.residual(z) + offset[0])
@@ -652,21 +653,28 @@ def test_a_stalling_corrector_ends_in_step_underflow():
 
 
 def corrupting_problem() -> ProblemDefinition:
-    """The unit circle, knocked off its own curve by its on_accept hook."""
-    offset = [0.0]
+    """An anchored unit circle that fails every re-verification but the first.
 
-    def residual(z):
-        return np.array([z[0] ** 2 + z[1] ** 2 - 1.0 + offset[0]])
+    A point is re-verified as its own base (z_base equal to z).  The first
+    such evaluation is the start point's check; every later one is
+    knocked off the curve, so the start point fails when it is emitted.
+    """
+    checks = []
 
-    def jacobian(z):
+    def residual(z, z_base):
+        out = np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
+        if np.array_equal(z, z_base):
+            checks.append(z)
+            if len(checks) > 1:
+                out += 1.0
+        return out
+
+    def jacobian(z, z_base):
         return np.array([[2.0 * z[0], 2.0 * z[1]]])
-
-    def corrupt(z):
-        offset[0] = 1.0  # runs before re-verification
 
     return ProblemDefinition(
         n_dim=2, lambda_index=1, residual=residual, jacobian=jacobian,
-        on_accept=corrupt,
+        anchored=True,
     )
 
 

@@ -1,5 +1,6 @@
 """Spectral travelling-wave problem: operators, residual, symmetry, data."""
 
+import dataclasses
 import math
 import sys
 from dataclasses import replace
@@ -18,6 +19,7 @@ from arctree import (
     natural_continuation,
     parse_parameters,
     run_continuation,
+    serial_pac,
 )
 from arctree.problem import evaluate_residual
 from arctree.problems import (
@@ -117,16 +119,18 @@ def test_residual_matches_hand_computation_on_a_sine():
 
 
 def test_residual_equals_the_term_by_term_formula():
-    # The stacked product and the cached phase gradient keep the
-    # arithmetic of one product per operator, so the bits must agree.
+    # The stacked product keeps the arithmetic of one product per
+    # operator, so the bits must agree, with the phase anchored at the
+    # config's reference or at a base point holding the same profile.
     z0, config = load_ks_fixture()
     n = config.n_grid
     d1, d2, d4, dealias = spectral_operators(n)
     rng = np.random.default_rng(3)
-    config.reference_profile = z0[:n] + 0.01 * rng.standard_normal(n)
+    base = z0 + 0.01 * rng.standard_normal(z0.shape)
+    ref = base[:n]
+    anchored = replace(config, reference_profile=ref)
     for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
         w, c, lam = z[:n], z[n], z[n + 1]
-        ref = config.reference_profile
         d1w = d1 @ w
         pde = (
             -c * d1w
@@ -137,7 +141,8 @@ def test_residual_equals_the_term_by_term_formula():
         )
         phase = float((w - ref) @ (d1 @ ref)) / n
         expected = np.concatenate([pde, [phase]])
-        assert np.array_equal(ks_residual(config, z), expected)
+        assert np.array_equal(ks_residual(anchored, z), expected)
+        assert np.array_equal(ks_residual(config, z, base), expected)
 
 
 def test_phase_row_vanishes_at_the_reference():
@@ -175,7 +180,10 @@ def test_operator_caches_are_read_only():
 
 
 def dense_ks_jacobian(config, z):
-    """The Jacobian written out term by term, as the oracle for ks_jacobian."""
+    """The Jacobian written out term by term, as the oracle for ks_jacobian.
+
+    Anchored at config.reference_profile.
+    """
     n = config.n_grid
     d1, d2, d4, dealias = spectral_operators(n)
     w, c, lam = z[:n], z[n], z[n + 1]
@@ -196,18 +204,20 @@ def dense_ks_jacobian(config, z):
 def test_jacobian_matches_the_dense_formula():
     z0, config = load_ks_fixture()
     rng = np.random.default_rng(5)
-    config.reference_profile = z0[:128] + 0.01 * rng.standard_normal(128)
+    base = z0 + 0.01 * rng.standard_normal(z0.shape)
+    anchored = replace(config, reference_profile=base[:128])
     for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
         z[128] = 0.3  # a non-zero wave speed exercises the c D1 term
-        fused = ks_jacobian(config, z)
-        dense = dense_ks_jacobian(config, z)
+        fused = ks_jacobian(config, z, base)
+        dense = dense_ks_jacobian(anchored, z)
         assert fused.shape == dense.shape == (129, 130)
         assert np.abs(fused - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.array_equal(ks_jacobian(anchored, z), fused)
 
 
 def test_carried_residuals_are_never_stale(monkeypatch):
-    # Every accepted KS point re-anchors the phase row, so a residual a
-    # node carried from before the re-anchoring no longer is F(zeta).
+    # Every residual a node carries into a step, across emissions too, is
+    # F(zeta) with the phase anchored at the sequence's own base point.
     z0, config = load_ks_fixture()
     problem = ks_problem(config)
     params = replace(
@@ -220,7 +230,7 @@ def test_carried_residuals_are_never_stale(monkeypatch):
 
     def spy(problem, zeta, tangent, z_base, h, f=None):
         if f is not None:
-            fresh = evaluate_residual(problem, zeta)
+            fresh = evaluate_residual(problem, zeta, z_base)
             carried.append(f.tobytes() == fresh.tobytes())
         return step(problem, zeta, tangent, z_base, h, f)
 
@@ -229,6 +239,52 @@ def test_carried_residuals_are_never_stale(monkeypatch):
     assert len(result.accepted_points) > 2
     assert len(carried) > 50
     assert all(carried)
+
+
+@pytest.mark.parametrize("algorithm", ["tree", "serial-pac"])
+def test_every_evaluation_is_anchored_at_its_sequence_base(monkeypatch, algorithm):
+    # Inside engine.step, the residual and the Jacobian get the stepped
+    # node's seed point z_init; every other evaluation re-verifies a point,
+    # which is then its own base.
+    z0, config = load_ks_fixture()
+    inner = ks_problem(config)
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")),
+        worker_budget=12,
+        round_limit=12,
+    )
+    stepping = []
+    in_step, reverified = [], []
+
+    def record(fn):
+        def anchored(z, z_base):
+            if stepping:
+                in_step.append(np.array_equal(z_base, stepping[-1]))
+            else:
+                reverified.append(np.array_equal(z_base, z))
+            return fn(z, z_base)
+
+        return anchored
+
+    step = arctree.engine.step
+
+    def spy(problem, node):
+        stepping.append(node.z_init.copy())
+        try:
+            return step(problem, node)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(arctree.engine, "step", spy)
+    problem = replace(
+        inner, residual=record(inner.residual), jacobian=record(inner.jacobian)
+    )
+    run = run_continuation if algorithm == "tree" else serial_pac
+    result = run(problem, params, z0)
+    assert len(result.accepted_points) > 2
+    assert len(in_step) > 50 and all(in_step)
+    # The start point's check, then one re-verification per emitted point.
+    assert reverified == [True] * (len(result.accepted_points) + 1)
 
 
 def test_jacobian_matches_finite_differences():
@@ -309,37 +365,39 @@ def test_config_copies_its_reference():
     assert config.reference_profile[0] == 1.0
 
 
-def test_on_accept_refreshes_the_phase_anchor():
-    config = KsConfig(n_grid=32)
-    problem = ks_problem(config)
-    problem.on_accept(make_state(config, np.full(32, 2.5)))
-    assert config.reference_profile == pytest.approx(np.full(32, 2.5))
+def test_config_is_frozen_and_its_reference_read_only():
+    config = KsConfig(n_grid=32, reference_profile=np.ones(32))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.reference_profile = np.zeros(32)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.amplitude = 1.0
+    with pytest.raises(ValueError):
+        config.reference_profile[0] = 2.0
+    with pytest.raises(ValueError):
+        KsConfig(n_grid=32).reference_profile[0] = 2.0
+    assert np.array_equal(config.reference_profile, np.ones(32))
 
 
-def test_phase_gradient_follows_the_reference():
-    # The derivative of the reference is cached per reference array; a new
-    # anchor, from on_accept or assigned directly, must replace it.
+def test_the_anchor_moves_only_the_phase_row():
     z0, config = load_ks_fixture()
-    problem = ks_problem(config)
+    n = config.n_grid
     rng = np.random.default_rng(11)
     z = z0 + 1e-3 * rng.standard_normal(z0.shape)
-
-    def assert_as_fresh():
-        fresh = KsConfig(n_grid=128, reference_profile=config.reference_profile)
-        assert np.array_equal(ks_residual(config, z), ks_residual(fresh, z))
-        assert np.array_equal(ks_jacobian(config, z), ks_jacobian(fresh, z))
-
-    assert_as_fresh()
-    problem.on_accept(z)
-    assert_as_fresh()
-    config.reference_profile = z0[:128] + 1e-2 * rng.standard_normal(128)
-    assert_as_fresh()
+    bases = [z0, z0 + 1e-2 * rng.standard_normal(z0.shape)]
+    rows = [ks_residual(config, z, base) for base in bases]
+    assert np.array_equal(rows[0][:n], rows[1][:n])
+    assert rows[0][n] != rows[1][n]
+    jacobians = [ks_jacobian(config, z, base) for base in bases]
+    assert np.array_equal(jacobians[0][:n], jacobians[1][:n])
+    # Anchored at itself, a point's phase row is exactly zero.
+    assert ks_residual(config, z, z)[n] == 0.0
+    assert ks_problem(config).residual(z, z)[n] == 0.0
 
 
 def test_threaded_rounds_match_one_worker_under_frequent_switches():
-    # Worker threads share the problem, and with it the cached phase
-    # gradient, across re-anchors; switching threads every microsecond
-    # must not change a single bit of the curve.
+    # Worker threads share the problem and its read-only operators;
+    # switching threads every microsecond must not change a single bit
+    # of the curve.
     z0, _ = load_ks_fixture()
     params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=12)
     runs = []
@@ -353,7 +411,7 @@ def test_threaded_rounds_match_one_worker_under_frequent_switches():
     finally:
         sys.setswitchinterval(interval)
     one, four = runs
-    assert len(one.accepted_points) > 2  # the phase was re-anchored
+    assert len(one.accepted_points) > 2  # sequences from several bases
     assert [p.z.tobytes() for p in four.accepted_points] == [
         p.z.tobytes() for p in one.accepted_points
     ]
@@ -370,15 +428,6 @@ def test_natural_continuation_steps_on_the_packaged_params():
     assert trace.failures == 0
     lams = [p.z[config.lambda_index] for p in trace.accepted_points]
     assert lams == pytest.approx([0.1828, 0.1827, 0.1826, 0.1825])
-
-
-def test_natural_continuation_reanchors_the_phase():
-    z0, config = load_ks_fixture()
-    params = replace(parse_parameters(data_path("ks_n128.params")), round_limit=3)
-    trace = natural_continuation(ks_problem(config), params, z0)
-    assert len(trace.accepted_points) > 1
-    last = trace.accepted_points[-1].z
-    assert np.array_equal(config.reference_profile, last[: config.n_grid])
 
 
 def test_packaged_fixture_converges():
