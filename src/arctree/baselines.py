@@ -3,13 +3,13 @@ predictor-corrector arclength stepping.
 
 Both are deliberately simple single-branch loops.  They exist as
 correctness baselines and as the comparison column for benchmark runs.
-Like the tree, they pass each point, the start included, to
-engine.emit_point once, when it is accepted, and serial-pac sizes its
-steps with engine.next_step, so a tree one node wide and one level deep
-reproduces it bit for bit while no predictor fails, on the KS problem
-as on the circle, each attempt anchored at its base point.  Both return
-the engine's ContinuationResult, with failed predictors as its failures
-and no rounds, and hold BLAS to one thread (see blas).
+Like the tree, they pass each point to engine.emit_point once, when it
+is accepted, the start through engine.start_point, and serial-pac sizes
+its steps with engine.next_step, so a tree one node wide and one level
+deep reproduces it bit for bit while no predictor fails, on the KS
+problem as on the circle, each attempt anchored at its base point.  Both
+return the engine's ContinuationResult, with failed predictors as its
+failures and no rounds, and hold BLAS to one thread (see blas).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def natural_continuation(
     fold: the Jacobian in the state variables becomes singular there,
     steps shrink, and the run ends in STEP_UNDERFLOW.
     """
-    z = start_point(problem, params, initial_point).z
     accepted: list[CurvePoint] = []
+    z = start_point(problem, params, initial_point, accepted, sink).z
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     h = params.delta_lambda
@@ -60,7 +60,6 @@ def natural_continuation(
     failures = 0
     attempts = 0
     try:
-        emit_point(problem, params, z, accepted, sink)
         while True:
             reason = stop_reason(problem, params, z, h * to_arclength, attempts)
             if reason is not None:
@@ -98,15 +97,14 @@ def serial_pac(
     ends by stop_reason on the last point, the step and the attempts
     made, or when an accepted point fails re-verification.
     """
-    point0, tangent = bootstrap(problem, params, initial_point)
     accepted: list[CurvePoint] = []
+    z = start_point(problem, params, initial_point, accepted, sink).z
+    tangent = bootstrap(problem, params, z)
     h = abs(params.h_init)
     steps = 0
     failures = 0
     attempts = 0
     try:
-        z = point0.z
-        emit_point(problem, params, z, accepted, sink)
         while True:
             reason = stop_reason(problem, params, z, h, attempts)
             if reason is not None:

@@ -2,12 +2,13 @@
 
 The engine traces a solution curve by maintaining a rooted tree of
 speculative corrector sequences.  The root is the most recent accepted
-point.  Each round it seeds predictor children at every leaf (within the
-worker budget and depth cap), applies one corrector iteration to every
-unfinished node concurrently, recolors, prunes, and advances the root
-down a confirmed chain of converged points, emitting each point as it
-becomes the root.  Each new root's base step comes from next_step, the
-step rule serial-pac shares.
+point: first the start, emitted by start_point before bootstrap finds
+the direction.  Each round it seeds predictor children at every leaf
+(within the worker budget and depth cap), applies one corrector
+iteration to every unfinished node concurrently, recolors, prunes, and
+advances the root down a confirmed chain of converged points, emitting
+each point as it becomes the root.  Each new root's base step comes
+from next_step, the step rule serial-pac shares.
 
 Results are deterministic: each corrector task writes only its own node;
 colours and counts are applied in traversal order, so the number of
@@ -155,27 +156,6 @@ def stop_reason(
     return None
 
 
-def start_point(
-    problem: ProblemDefinition, params: RunParams, initial_point: Array
-) -> CurvePoint:
-    """Check that the initial point satisfies the residual tolerance.
-
-    Returns the point with its residual norm; a residual above tolerance
-    or with non-finite entries raises BootstrapError.
-    """
-    z0 = np.array(initial_point, dtype=float)
-    try:
-        r0 = residual_norm(problem, z0)
-    except EvaluationError as exc:
-        raise BootstrapError(f"initial point: {exc}") from exc
-    if r0 > params.tol_residual:
-        raise BootstrapError(
-            f"initial point residual {r0:.3e} exceeds tolerance "
-            f"{params.tol_residual:.3e}"
-        )
-    return CurvePoint(z0, r0)
-
-
 def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
     """Advance the node's corrector sequence by one step, in place.
 
@@ -254,42 +234,57 @@ def emit_point(
     z: Array,
     accepted: list[CurvePoint],
     sink: Sink | None,
-) -> None:
-    """Accept the iterate z: re-verify it, then record it.
+) -> CurvePoint:
+    """Accept the iterate z: re-verify it, then record it and return it.
 
     The one acceptance rule of the tree and both baselines, applied to
-    each point once, when it is accepted.  z is checked as its own base
-    point, as start_point checks the start; a point that fails raises
-    EvaluationError and is neither recorded nor passed to the sink.
+    each point once, when it is accepted, and the only constructor of a
+    CurvePoint.  z is checked as its own base point; a point whose
+    residual is non-finite or above tol_residual raises EvaluationError
+    and is neither recorded nor passed to the sink.
     """
     r = residual_norm(problem, z)
     if r > params.tol_residual:
         raise EvaluationError(
-            f"accepted point failed re-verification: residual {r:.3e}"
+            f"residual {r:.3e} exceeds tolerance {params.tol_residual:.3e}"
         )
     verified = CurvePoint(z, r)
     accepted.append(verified)
     if sink is not None:
         sink(verified)
+    return verified
 
 
-def bootstrap(
+def start_point(
     problem: ProblemDefinition,
     params: RunParams,
     initial_point: Array,
-) -> tuple[CurvePoint, Array]:
-    """Produce the starting point and unit traversal direction.
+    accepted: list[CurvePoint],
+    sink: Sink | None,
+) -> CurvePoint:
+    """Accept the initial point through emit_point; return it as recorded.
 
-    The initial point must already satisfy the residual tolerance.  A
-    neighbor point is computed by corrector iterations constrained to the
+    A start that fails the check is not recorded and raises
+    BootstrapError, naming the initial point and its residual.
+    """
+    try:
+        return emit_point(
+            problem, params, np.array(initial_point, dtype=float), accepted, sink
+        )
+    except EvaluationError as exc:
+        raise BootstrapError(f"initial point: {exc}") from exc
+
+
+def bootstrap(problem: ProblemDefinition, params: RunParams, z0: Array) -> Array:
+    """The unit traversal direction from the accepted start z0.
+
+    A neighbor point is computed by corrector iterations constrained to the
     hyperplane where the continuation parameter is shifted by
     delta_lambda (the corrector direction is the parameter axis, which
     reduces to a Newton solve in the state variables).  The unit secant
     between the two points is returned oriented so the parameter
     component is positive when h_init is positive and negative otherwise.
     """
-    point0 = start_point(problem, params, initial_point)
-    z0 = point0.z
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     neighbor, _ = correct(problem, z0, axis, params.delta_lambda, params)
@@ -302,7 +297,7 @@ def bootstrap(
         raise BootstrapError("bootstrap secant is degenerate")
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
         direction = -direction
-    return point0, direction
+    return direction
 
 
 def make_root(point: CurvePoint, direction: Array, params: RunParams) -> TreeNode:
@@ -421,10 +416,11 @@ def run_continuation(
     drops are the run's failures.  Stops by stop_reason on the root's
     point, its base step and the rounds executed, or when a round can
     change nothing.  Each point goes through emit_point once, when it is
-    accepted: the start after bootstrap, every later point when it
-    becomes the root; nothing is emitted at termination.  n_workers
-    threads, the calling one included, serve each corrector round, and
-    BLAS runs on one thread throughout (see blas).
+    accepted: the start before bootstrap, so a run that fails there has
+    emitted exactly its start, and every later point when it becomes the
+    root; nothing is emitted at termination.  n_workers threads, the
+    calling one included, serve each corrector round, and BLAS runs on
+    one thread throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 
@@ -435,10 +431,9 @@ def run_continuation(
     steps_total = 0
     failures = 0
     with WorkerPool(n_workers) as pool:
-        point0, direction = bootstrap(problem, params, initial_point)
-        root = make_root(point0, direction, params)
+        point0 = start_point(problem, params, initial_point, accepted, sink)
+        root = make_root(point0, bootstrap(problem, params, point0.z), params)
         try:
-            emit(point0.z)
             while True:
                 reason = stop_reason(
                     problem, params, root.zeta, root.h_base, rounds

@@ -68,7 +68,6 @@ class ProblemDefinition:
     residual: Callable[..., Array]
     corrector: Callable[[Array, Array, Array, float], Array] | None = None
     jacobian: Callable[..., Array] | None = None
-    name: str = ""
     anchored: bool = False
 
     def __post_init__(self) -> None:

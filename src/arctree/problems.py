@@ -48,7 +48,6 @@ def circle_problem() -> ProblemDefinition:
         lambda_index=1,
         residual=residual,
         jacobian=jacobian,
-        name="circle",
     )
 
 
@@ -262,7 +261,6 @@ def ks_problem(config: KsConfig) -> ProblemDefinition:
         lambda_index=config.lambda_index,
         residual=partial(ks_residual, config),
         jacobian=partial(ks_jacobian, config),
-        name="ks",
         anchored=True,
     )
 

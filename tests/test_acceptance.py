@@ -31,13 +31,7 @@ from arctree import (
     write_parameters,
 )
 from arctree.cli import main as cli_main
-from arctree.engine import (
-    WorkerPool,
-    bootstrap,
-    corrector_round,
-    make_root,
-    spawn_round,
-)
+from arctree.engine import WorkerPool, corrector_round, spawn_round
 from arctree.problems import ks_jacobian, ks_residual
 from arctree.tree import (
     Color,
@@ -50,7 +44,7 @@ from arctree.tree import (
     prune_tree,
 )
 from conftest import build_prune_fixture, make_node, make_params
-from test_engine import slow_params, slow_problem
+from test_engine import slow_params, slow_problem, started_root
 from test_fileio import finite, run_params
 
 CIRCLE_START = np.array([1.0, 0.0])
@@ -356,8 +350,7 @@ def parse_dot(text):
 def test_criterion_8c_dot_snapshot_of_full_tree(tmp_path):
     problem = slow_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     pool = WorkerPool(1)
     for _ in range(2):
         active = sum(

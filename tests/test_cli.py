@@ -91,14 +91,35 @@ def test_summary_line_wording(circle_args, tmp_path, capsys, algo, rounds, failu
 
 @pytest.mark.parametrize("algo", ["pampac", "serial-pac", "natural"])
 def test_curve_holds_only_verified_points(circle_args, tmp_path, capsys, algo):
-    # The problem fails every re-verification after the start point's
-    # check, so the start point is not emitted and nothing may reach
-    # curve.txt.
+    # The problem fails every re-verification after the start point's, so
+    # the start is the one point that may reach curve.txt.
     argv = circle_args("--problem", "test_engine:corrupting_problem", algo=algo)
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert out.startswith("0 points, ") and "EVALUATION_FAILURE" in out
-    assert (tmp_path / "curve.txt").read_text(encoding="utf-8") == ""
+    assert out.startswith("1 points, ") and "EVALUATION_FAILURE" in out
+    assert read_curve(tmp_path / "curve.txt").tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize("algo", ["pampac", "serial-pac"])
+def test_a_failed_bootstrap_writes_exactly_the_start(tmp_path, capsys, algo):
+    # The start (0, 0) solves the problem's x = 0, but its corrector
+    # refuses every step, so the bootstrap neighbor cannot converge.
+    start = tmp_path / "start.txt"
+    start.write_text("0 0\n", encoding="utf-8")
+    rc = main(
+        [
+            "--params", str(data_path("circle.params")),
+            "--initial-point", str(start),
+            "--outdir", str(tmp_path),
+            "--problem", "test_engine:refusing_problem",
+            "--algo", algo,
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"arctree: [^\n]*\n", captured.err)
+    assert read_curve(tmp_path / "curve.txt").tolist() == [[0.0, 0.0]]
 
 
 def test_missing_params_file_is_a_usage_error(tmp_path, capsys):

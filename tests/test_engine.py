@@ -1,10 +1,13 @@
 """Bootstrap, spawning, corrector rounds, root advancement, main loop."""
 
 import threading
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arctree import (
     BootstrapError,
@@ -29,6 +32,7 @@ from arctree.engine import (
     make_root,
     next_step,
     spawn_round,
+    start_point,
     stop_reason,
 )
 from arctree.problem import bordered_newton_step, residual_norm
@@ -65,6 +69,12 @@ def slow_problem() -> ProblemDefinition:
     )
 
 
+def started_root(problem, params, z0):
+    """A fresh run's root: the accepted start, oriented by bootstrap."""
+    point = start_point(problem, params, z0, [], None)
+    return make_root(point, bootstrap(problem, params, point.z), params)
+
+
 def slow_params(**overrides):
     base = dict(
         max_iter=60, tol_residual=1e-12, max_depth=3, worker_budget=12, h_max=10.0
@@ -82,8 +92,11 @@ def test_bootstrap_secant_oracle():
     # Neighbor at lambda = 0.05 sits at x = sqrt(1 - 0.0025); the unit
     # secant from (1, 0) is (-0.0250078..., +0.9996872...).
     params = make_params(delta_lambda=0.05)
-    point, direction = bootstrap(circle_problem(), params, Z0)
+    accepted = []
+    point = start_point(circle_problem(), params, Z0, accepted, None)
     assert point.z == pytest.approx(Z0)
+    assert accepted == [point]
+    direction = bootstrap(circle_problem(), params, point.z)
     secant = np.array([np.sqrt(1 - 0.0025) - 1.0, 0.05])
     expected = secant / np.linalg.norm(secant)
     assert direction == pytest.approx(expected, abs=1e-8)
@@ -92,14 +105,19 @@ def test_bootstrap_secant_oracle():
 
 def test_bootstrap_orientation_follows_step_sign():
     params = make_params(delta_lambda=0.05, h_init=-0.1)
-    _, direction = bootstrap(circle_problem(), params, Z0)
+    direction = bootstrap(circle_problem(), params, Z0)
     assert direction[1] < 0
 
 
 def test_bootstrap_rejects_unconverged_start():
+    # The start is emitted like any point, and one that fails is not.
     params = make_params()
-    with pytest.raises(BootstrapError):
-        bootstrap(circle_problem(), params, np.array([1.1, 0.0]))
+    seen = []
+    with pytest.raises(
+        BootstrapError, match=r"^initial point: residual 2\.100e-01 exceeds"
+    ):
+        start_point(circle_problem(), params, np.array([1.1, 0.0]), seen, seen.append)
+    assert seen == []
 
 
 def test_bootstrap_rejects_a_degenerate_secant():
@@ -125,8 +143,7 @@ def test_bootstrap_reports_neighbor_failure():
 def test_spawn_round_seeds_children_in_scaling_order():
     problem = slow_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     spawned = spawn_round(root, params, budget=12)
     assert spawned == 3
     steps = [child.h_init for child in root.children]
@@ -145,8 +162,7 @@ def test_spawn_round_seeds_children_in_scaling_order():
 def test_spawn_round_respects_budget():
     problem = slow_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     assert spawn_round(root, params, budget=2) == 2
     assert len(root.children) == 2
     assert spawn_round(root, params, budget=0) == 0
@@ -155,8 +171,7 @@ def test_spawn_round_respects_budget():
 def test_spawn_round_skips_steps_above_h_max():
     problem = slow_problem()
     params = slow_params(h_init=0.2, h_max=0.25)  # scaling 2 gives 0.4
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     assert spawn_round(root, params, budget=12) == 2
     assert [c.h_init for c in root.children] == pytest.approx([0.15, 0.2])
 
@@ -164,8 +179,7 @@ def test_spawn_round_skips_steps_above_h_max():
 def test_spawn_round_respects_depth_cap():
     problem = slow_problem()
     params = slow_params(max_depth=1)
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     spawn_round(root, params, budget=12)
     corrector_round(root, problem, params, WorkerPool(1))
     assert spawn_round(root, params, budget=9) == 0
@@ -177,8 +191,7 @@ def test_tree_growth_matches_budget_12_shape():
     # is retired.
     problem = slow_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     pool = WorkerPool(1)
 
     active = lambda: sum(
@@ -208,8 +221,7 @@ def test_tree_growth_matches_budget_12_shape():
 def test_corrector_round_steps_only_unfinished_nodes():
     problem = slow_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     spawn_round(root, params, budget=12)
     green_zeta = root.zeta.copy()
     stepped = corrector_round(root, problem, params, WorkerPool(1))
@@ -277,8 +289,7 @@ def test_non_finite_predictor_blackens_only_its_child():
     # 0.1 and 0.2; only the last lies where the residual is NaN.
     problem = nan_beyond_problem()
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     spawn_round(root, params, budget=12)
     assert corrector_round(root, problem, params, WorkerPool(1)) == 2
     first, second, largest = root.children
@@ -304,8 +315,7 @@ def test_a_stale_residual_is_re_evaluated_into_the_norm_mu_compares():
     inner = slow_problem()
     problem = replace(inner, residual=lambda z: inner.residual(z) + offset[0])
     params = slow_params()
-    point, direction = bootstrap(problem, params, np.zeros(2))
-    root = make_root(point, direction, params)
+    root = started_root(problem, params, np.zeros(2))
     spawn_round(root, params, budget=1)
     corrector_round(root, problem, params, WorkerPool(1))
     (child,) = root.children
@@ -656,8 +666,8 @@ def corrupting_problem() -> ProblemDefinition:
     """An anchored unit circle that fails every re-verification but the first.
 
     A point is re-verified as its own base (z_base equal to z).  The first
-    such evaluation is the start point's check; every later one is
-    knocked off the curve, so the start point fails when it is emitted.
+    such evaluation is the start point's; every later one is knocked off
+    the curve, so the start is accepted and the next point emitted fails.
     """
     checks = []
 
@@ -682,7 +692,7 @@ def test_emission_reverification_failure():
     params = make_params()
     result = run_continuation(corrupting_problem(), params, Z0)
     assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
-    assert result.accepted_points == []
+    assert [p.z.tolist() for p in result.accepted_points] == [Z0.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -694,7 +704,8 @@ def test_sink_sees_only_verified_points(algorithm):
     assert isinstance(result, ContinuationResult)
     assert (result.rounds_executed is None) == (algorithm is not run_continuation)
     assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
-    assert seen == result.accepted_points == []
+    assert seen == result.accepted_points
+    assert [p.z.tolist() for p in seen] == [Z0.tolist()]
 
 
 def counting_circle():
@@ -714,10 +725,10 @@ def counting_circle():
 @pytest.mark.parametrize(
     "algorithm,expected",
     [
-        # 4 in bootstrap + 77 predictors (in their first round) + 149 steps
-        # + 24 emissions
-        (run_continuation, 254),
-        (serial_pac, 100),
+        # 3 in bootstrap + 77 predictors (in their first round) + 149 steps
+        # + 24 emissions, the start's included
+        (run_continuation, 253),
+        (serial_pac, 99),
     ],
 )
 def test_one_residual_per_corrector_step(algorithm, expected):
@@ -727,6 +738,72 @@ def test_one_residual_per_corrector_step(algorithm, expected):
     result = algorithm(problem, params, z0)
     assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "algorithm", [run_continuation, serial_pac, natural_continuation]
+)
+def test_the_start_residual_is_evaluated_once(algorithm):
+    # The start is checked once, by its emission; bootstrap only steps
+    # away from it.
+    inner = circle_problem()
+    at_start = []
+
+    def residual(z):
+        at_start.append(np.array_equal(z, Z0))
+        return inner.residual(z)
+
+    result = algorithm(replace(inner, residual=residual), make_params(), Z0)
+    assert len(result.accepted_points) > 2
+    assert sum(at_start) == 1
+
+
+@pytest.mark.parametrize("algorithm", [run_continuation, serial_pac])
+def test_a_failed_bootstrap_has_emitted_exactly_its_start(algorithm):
+    # The start (0, 0) solves x = 0, but every corrector step is refused,
+    # so the neighbor point cannot converge.
+    seen = []
+    with pytest.raises(BootstrapError, match="neighbor point did not converge"):
+        algorithm(refusing_problem(), make_params(), np.zeros(2), sink=seen.append)
+    assert [(p.z.tolist(), p.residual_norm) for p in seen] == [([0.0, 0.0], 0.0)]
+
+
+def nan_holed_circle(seed: int, rate: float) -> ProblemDefinition:
+    """The unit circle, its residual NaN at a pseudo-random share of points.
+
+    Whether z is a hole depends only on its bytes (zlib.crc32, not the
+    salted hash) and the seed, so every run on it repeats exactly.
+    """
+    inner = circle_problem()
+
+    def residual(z):
+        if zlib.crc32(z.tobytes(), seed) < rate * 2**32:
+            return np.array([np.nan])
+        return inner.residual(z)
+
+    return replace(inner, residual=residual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.floats(0.0, 0.3),
+    algorithm=st.sampled_from([run_continuation, serial_pac, natural_continuation]),
+)
+def test_nan_holes_end_a_run_with_only_verified_points(seed, rate, algorithm):
+    # Starts that are holes, neighbors that cannot converge, round limits
+    # and exits from the window all occur.
+    params = make_params(round_limit=40)
+    seen = []
+    try:
+        result = algorithm(nan_holed_circle(seed, rate), params, Z0, sink=seen.append)
+    except BootstrapError:
+        assert len(seen) <= 1
+    else:
+        assert isinstance(result.termination_reason, TerminationReason)
+        assert seen == result.accepted_points
+    pts = np.array([p.z for p in seen]).reshape(-1, 2)
+    assert np.all(np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - 1.0) <= params.tol_residual)
 
 
 def test_correct_counts_steps_up_to_a_non_finite_residual():

@@ -283,8 +283,32 @@ def test_every_evaluation_is_anchored_at_its_sequence_base(monkeypatch, algorith
     result = run(problem, params, z0)
     assert len(result.accepted_points) > 2
     assert len(in_step) > 50 and all(in_step)
-    # The start point's check, then one re-verification per emitted point.
-    assert reverified == [True] * (len(result.accepted_points) + 1)
+    # One re-verification per accepted point, the start's included.
+    assert reverified == [True] * len(result.accepted_points)
+
+
+@pytest.mark.parametrize("algorithm", ["tree", "serial-pac"])
+def test_the_start_residual_is_evaluated_once(algorithm):
+    # Only the start's emission evaluates the residual at z0 anchored at
+    # z0 itself; bootstrap's neighbor solve is anchored there but steps
+    # away from it.
+    z0, config = load_ks_fixture()
+    inner = ks_problem(config)
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")),
+        worker_budget=12,
+        round_limit=6,
+    )
+    at_start = []
+
+    def residual(z, z_base):
+        at_start.append(np.array_equal(z, z0) and np.array_equal(z_base, z0))
+        return inner.residual(z, z_base)
+
+    run = run_continuation if algorithm == "tree" else serial_pac
+    result = run(replace(inner, residual=residual), params, z0)
+    assert len(result.accepted_points) > 1
+    assert sum(at_start) == 1
 
 
 def test_jacobian_matches_finite_differences():
