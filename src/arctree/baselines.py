@@ -51,7 +51,7 @@ def natural_continuation(
     steps shrink, and the run ends in STEP_UNDERFLOW.
     """
     accepted: list[CurvePoint] = []
-    z = start_point(problem, params, initial_point, accepted, sink).z
+    z, _ = start_point(problem, params, initial_point, accepted, sink)
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
     h = params.delta_lambda
@@ -98,7 +98,7 @@ def serial_pac(
     made, or when an accepted point fails re-verification.
     """
     accepted: list[CurvePoint] = []
-    z = start_point(problem, params, initial_point, accepted, sink).z
+    z, _ = start_point(problem, params, initial_point, accepted, sink)
     tangent = bootstrap(problem, params, z)
     h = abs(params.h_init)
     steps = 0

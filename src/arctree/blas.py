@@ -14,6 +14,18 @@ to one thread and restores its count afterwards; the tree engine and
 both baselines run under it.  Where no such library is found (another
 BLAS, another install layout), it changes nothing.  Runs that overlap
 on several threads share one hold, released when the last of them ends.
+
+The first hold in a process also raises glibc's heap trim threshold to
+HEAP_TRIM_THRESHOLD (``keep_freed_heap``).  A corrector step on a worker
+thread frees 128 KiB temporaries at the top of that thread's heap, and
+at glibc's default threshold each free hands the pages back to the
+kernel, so the next step faults them in again.  glibc raises that
+threshold by itself only after freeing a large block it had mapped
+separately, which importing scipy.linalg used to do as a side effect;
+without that import, a 2-worker KS n=128 tree run took about 60
+thousand minor page faults (some 50 per corrector step) and about 7%
+more CPU time on a 2-core host, against under 10 faults per run with
+the threshold set.  Where libc has no ``mallopt`` it changes nothing.
 """
 
 from __future__ import annotations
@@ -22,11 +34,9 @@ import ctypes
 import threading
 from contextlib import contextmanager
 from functools import cache
+from importlib.util import find_spec
 from pathlib import Path
 from typing import Callable, Iterator
-
-import numpy
-import scipy
 
 # (prefix, suffix) of the C thread-count functions: numpy's wheels ship an
 # ILP64 build with a 64_ suffix, scipy's an LP64 one; both prefix scipy_.
@@ -42,8 +52,12 @@ _SYMBOLS = (
 def thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """(get, set) thread-count functions of each OpenBLAS numpy and scipy load."""
     controls = []
-    for package in (numpy, scipy):
-        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    for package in ("numpy", "scipy"):
+        # find_spec locates a package without importing it.
+        spec = find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        libs = Path(spec.origin).parents[1] / f"{package}.libs"
         for path in sorted(libs.glob("*openblas*.so*")):
             lib = ctypes.CDLL(str(path))
             for prefix, suffix in _SYMBOLS:
@@ -53,6 +67,30 @@ def thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], 
                     controls.append((get, put))
                     break
     return tuple(controls)
+
+
+# glibc's mallopt parameter number for the trim threshold (malloc.h), and
+# the free space a heap keeps at its top before glibc returns it: 32 MiB,
+# so that no temporary a step frees is returned between steps.
+_M_TRIM_THRESHOLD = -1
+HEAP_TRIM_THRESHOLD = 32 * 1024 * 1024
+
+
+@cache
+def keep_freed_heap() -> bool:
+    """Set glibc's heap trim threshold to HEAP_TRIM_THRESHOLD, once.
+
+    Returns whether libc took the setting; False where it has no mallopt.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD))
 
 
 # Thread counts are process-wide, so overlapping holds on several threads
@@ -74,6 +112,7 @@ def one_blas_thread() -> Iterator[None]:
     controls = thread_controls()
     with _hold_lock:
         if _holders == 0:
+            keep_freed_heap()
             _saved = [get() for get, _ in controls]
             for _, put in controls:
                 put(1)

@@ -234,25 +234,27 @@ def emit_point(
     z: Array,
     accepted: list[CurvePoint],
     sink: Sink | None,
-) -> CurvePoint:
-    """Accept the iterate z: re-verify it, then record it and return it.
+) -> float:
+    """Accept the iterate z: re-verify it, record a copy, return its norm.
 
     The one acceptance rule of the tree and both baselines, applied to
     each point once, when it is accepted, and the only constructor of a
     CurvePoint.  z is checked as its own base point; a point whose
     residual is non-finite or above tol_residual raises EvaluationError
-    and is neither recorded nor passed to the sink.
+    and is neither recorded nor passed to the sink.  The recorded point
+    holds a copy of z, and the sink is passed that point, so whatever a
+    sink does to it cannot move the run, which continues from z.
     """
     r = residual_norm(problem, z)
     if r > params.tol_residual:
         raise EvaluationError(
             f"residual {r:.3e} exceeds tolerance {params.tol_residual:.3e}"
         )
-    verified = CurvePoint(z, r)
+    verified = CurvePoint(z.copy(), r)
     accepted.append(verified)
     if sink is not None:
         sink(verified)
-    return verified
+    return r
 
 
 def start_point(
@@ -261,16 +263,17 @@ def start_point(
     initial_point: Array,
     accepted: list[CurvePoint],
     sink: Sink | None,
-) -> CurvePoint:
-    """Accept the initial point through emit_point; return it as recorded.
+) -> tuple[Array, float]:
+    """Accept the initial point through emit_point.
 
-    A start that fails the check is not recorded and raises
-    BootstrapError, naming the initial point and its residual.
+    Returns the start as an array of the caller's own, which the sink
+    never sees, and its residual norm.  A start that fails the check is
+    not recorded and raises BootstrapError, naming the initial point and
+    its residual.
     """
+    z = np.array(initial_point, dtype=float)
     try:
-        return emit_point(
-            problem, params, np.array(initial_point, dtype=float), accepted, sink
-        )
+        return z, emit_point(problem, params, z, accepted, sink)
     except EvaluationError as exc:
         raise BootstrapError(f"initial point: {exc}") from exc
 
@@ -300,18 +303,23 @@ def bootstrap(problem: ProblemDefinition, params: RunParams, z0: Array) -> Array
     return direction
 
 
-def make_root(point: CurvePoint, direction: Array, params: RunParams) -> TreeNode:
-    """Tree root for a fresh run: z_init is zeta, so it seeds along direction."""
+def make_root(
+    z0: Array, r0: float, direction: Array, params: RunParams
+) -> TreeNode:
+    """Tree root for a fresh run at the start z0, whose residual norm is r0.
+
+    z_init is zeta, so it seeds along direction.
+    """
     return TreeNode(
-        zeta=point.z.copy(),
-        z_init=point.z.copy(),
+        zeta=z0.copy(),
+        z_init=z0.copy(),
         t_init=np.asarray(direction, dtype=float).copy(),
         h_init=abs(params.h_init),
         h_base=abs(params.h_init),
         nu=0,
         nu_init=0,
         color=Color.GREEN,
-        residual_norm_current=point.residual_norm,
+        residual_norm_current=r0,
     )
 
 
@@ -378,8 +386,8 @@ def advance_root(
     """Move the root down the confirmed chain, emitting each new root.
 
     While the root has exactly one child and that child is GREEN, the
-    child becomes the root and a copy of its iterate is emitted (so a
-    sink cannot move the root): a point is emitted when it is accepted.
+    child becomes the root and its iterate is emitted: a point is
+    emitted when it is accepted.
     Nothing steps a GREEN node, so the new root seeds its children along
     the secant from its predecessor, as every leaf does.  Its base step
     is next_step of the step that seeded it and the corrector steps it
@@ -394,7 +402,7 @@ def advance_root(
         # next_step(root.h_base, ...), made ks128-tree crawl to
         # STEP_UNDERFLOW in 21543 rounds and 208387 corrector steps.
         root.h_base = next_step(root.h_init, root.nu, params)
-        emit(root.zeta.copy())
+        emit(root.zeta)
         emitted += 1
     return root, emitted
 
@@ -431,8 +439,8 @@ def run_continuation(
     steps_total = 0
     failures = 0
     with WorkerPool(n_workers) as pool:
-        point0 = start_point(problem, params, initial_point, accepted, sink)
-        root = make_root(point0, bootstrap(problem, params, point0.z), params)
+        z0, r0 = start_point(problem, params, initial_point, accepted, sink)
+        root = make_root(z0, r0, bootstrap(problem, params, z0), params)
         try:
             while True:
                 reason = stop_reason(

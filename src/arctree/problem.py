@@ -8,18 +8,70 @@ back onto the curve.  The corrector solves F(zeta) = 0 together with one
 scalar constraint pinning zeta to a hyperplane orthogonal to the predictor
 direction, which keeps the stepper well posed at folds where the state
 Jacobian alone is singular.
+
+The corrector calls three LAPACK routines, getrf, getrs and lange,
+through scipy's f2py wrappers.  Importing them from scipy.linalg runs
+the whole package's set-up (it pulls in numpy.f2py, numpy.testing,
+numpy.ma and numpy.random), about 0.3 s of a 0.55 s
+``import arctree.cli`` on a 2-core host, so the extension module that
+holds them, scipy.linalg._flapack, is loaded on its own instead (see
+_load_flapack), at import of this module.  They are the same wrappers
+calling the same OpenBLAS, so every result is the same.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
+from pathlib import Path
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
 Array = np.ndarray
+
+
+def _load_flapack() -> ModuleType:
+    """scipy's f2py LAPACK wrappers, without running scipy.linalg's set-up.
+
+    The module scipy.linalg._flapack is reused when it is already
+    imported.  Otherwise its file is looked up beside scipy's (found by
+    find_spec, which imports nothing) and loaded under its own name, so
+    a later import of scipy.linalg reuses it too.  Where no such file is
+    found or it does not load (another layout, or a platform that needs
+    scipy's own set-up first), the routines come from scipy.linalg.lapack.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = find_spec("scipy")
+    paths = [
+        Path(directory, "linalg", "_flapack" + suffix)
+        for directory in (spec and spec.submodule_search_locations) or ()
+        for suffix in EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is not None:
+        loader = ExtensionFileLoader(name, str(path))
+        try:
+            module = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(module)
+        except ImportError:
+            pass
+        else:
+            sys.modules[name] = module
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs, dlange = _flapack.dgetrf, _flapack.dgetrs, _flapack.dlange
 
 # Relative pivot threshold below which the bordered corrector matrix is
 # treated as numerically singular.

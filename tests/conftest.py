@@ -2,13 +2,38 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arctree
 from arctree import RunParams
 from arctree.tree import Color, TreeNode
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter under -W error; return its stdout.
+
+    The arctree under test comes first on the new interpreter's path.
+    """
+    env = dict(os.environ)
+    src = str(Path(arctree.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def make_params(**overrides) -> RunParams:

@@ -1,5 +1,6 @@
 """BLAS thread pinning around a continuation run, from the CLI or the library."""
 
+import platform
 import threading
 from dataclasses import replace
 from functools import partial
@@ -17,6 +18,7 @@ from arctree import (
 )
 from arctree.blas import one_blas_thread, thread_controls
 from arctree.cli import main
+from conftest import run_fresh
 
 SEEN: list[list[int]] = []
 
@@ -113,3 +115,35 @@ def test_library_run_with_workers_holds_one_blas_thread(two_threads, run):
     run(recording_problem(), params, z0)
     assert SEEN and all(seen == [1] * len(thread_controls()) for seen in SEEN)
     assert counts() == [2] * len(thread_controls())
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the heap trim threshold is a glibc setting",
+)
+def test_worker_steps_do_not_fault_their_temporaries_back_in():
+    # After a warm-up run, a 2-worker KS tree run reuses the heap pages its
+    # steps free; at glibc's default trim threshold it took about 50 minor
+    # faults per corrector step.
+    out = run_fresh(
+        """
+        import resource
+        from dataclasses import replace
+        from arctree import (
+            data_path, ks_problem, load_ks_fixture, parse_parameters,
+            run_continuation,
+        )
+        z0, config = load_ks_fixture()
+        params = parse_parameters(data_path("ks_n128.params"))
+        params = replace(params, worker_budget=12, round_limit=40)
+        problem = ks_problem(config)
+        run_continuation(problem, params, z0, n_workers=2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = run_continuation(problem, params, z0, n_workers=2)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(result.rounds_executed, result.corrector_steps_total, faults)
+        """
+    )
+    rounds, steps, faults = map(int, out.split())
+    assert rounds == 40
+    assert faults < steps

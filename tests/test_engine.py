@@ -71,8 +71,8 @@ def slow_problem() -> ProblemDefinition:
 
 def started_root(problem, params, z0):
     """A fresh run's root: the accepted start, oriented by bootstrap."""
-    point = start_point(problem, params, z0, [], None)
-    return make_root(point, bootstrap(problem, params, point.z), params)
+    z, r = start_point(problem, params, z0, [], None)
+    return make_root(z, r, bootstrap(problem, params, z), params)
 
 
 def slow_params(**overrides):
@@ -93,10 +93,11 @@ def test_bootstrap_secant_oracle():
     # secant from (1, 0) is (-0.0250078..., +0.9996872...).
     params = make_params(delta_lambda=0.05)
     accepted = []
-    point = start_point(circle_problem(), params, Z0, accepted, None)
-    assert point.z == pytest.approx(Z0)
-    assert accepted == [point]
-    direction = bootstrap(circle_problem(), params, point.z)
+    z, r = start_point(circle_problem(), params, Z0, accepted, None)
+    assert z == pytest.approx(Z0)
+    assert [(p.z, p.residual_norm) for p in accepted] == [(pytest.approx(z), r)]
+    assert accepted[0].z is not z
+    direction = bootstrap(circle_problem(), params, z)
     secant = np.array([np.sqrt(1 - 0.0025) - 1.0, 0.05])
     expected = secant / np.linalg.norm(secant)
     assert direction == pytest.approx(expected, abs=1e-8)
@@ -438,9 +439,10 @@ def test_advance_root_walks_single_green_chain():
     new_root, count = advance_root(root, emitted.append, make_params())
     assert count == 1
     assert new_root is mid
-    # the point emitted is the one the root moves onto, as a copy
+    # the point emitted is the one the root moves onto; emit_point, not
+    # advance_root, records a copy of it
     assert [z[1] for z in emitted] == [0.1]
-    assert emitted[0] is not mid.zeta
+    assert emitted[0] is mid.zeta
     # the new root seeds along the secant that produced it
     secant = mid.zeta - mid.z_init
     assert secant_direction(new_root) == pytest.approx(
@@ -706,6 +708,29 @@ def test_sink_sees_only_verified_points(algorithm):
     assert result.termination_reason is TerminationReason.EVALUATION_FAILURE
     assert seen == result.accepted_points
     assert [p.z.tolist() for p in seen] == [Z0.tolist()]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize(
+    "algorithm", [run_continuation, serial_pac, natural_continuation]
+)
+def test_a_sink_that_moves_a_point_cannot_move_the_run(algorithm, index):
+    # The sink is handed the recorded point; the run continues from an
+    # array of its own, so every later point is exactly as without it.
+    seen = []
+
+    def nudge(point):
+        if len(seen) == index:
+            point.z[0] += 1e-3
+        seen.append(point)
+
+    clean = algorithm(circle_problem(), make_params(), Z0)
+    nudged = algorithm(circle_problem(), make_params(), Z0, sink=nudge)
+    assert nudged.accepted_points == seen
+    assert seen[index].z[0] == clean.accepted_points[index].z[0] + 1e-3
+    later = [p.z.tolist() for p in clean.accepted_points[index + 1 :]]
+    assert len(later) > 1
+    assert [p.z.tolist() for p in seen[index + 1 :]] == later
 
 
 def counting_circle():
