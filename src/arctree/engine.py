@@ -10,9 +10,9 @@ advances the root down a confirmed chain of converged points, emitting
 each point as it becomes the root.  Each new root's base step comes
 from next_step, the step rule serial-pac shares.
 
-Results are deterministic: each corrector task writes only its own node;
-colours and counts are applied in traversal order, so the number of
-threads physically serving the worker budget changes wall time only.
+Results are deterministic: a corrector task writes only its own node,
+whichever thread pulls it, and colours and counts are applied in
+traversal order, so the thread count changes wall time only.
 """
 
 from __future__ import annotations
@@ -85,14 +85,13 @@ Sink = Callable[[CurvePoint], None]
 class WorkerPool:
     """An ordered map of tasks over n_workers threads, the caller's included.
 
-    map(fn, tasks) returns fn(*task) for each task, in task order.  The
-    tasks are split into min(n_workers, len(tasks)) contiguous slices;
-    the calling thread serves the first and n_workers - 1 helper threads
-    the others, one slice each, so a round costs one hand-off per helper
-    rather than one per task.  The pool catches nothing: an exception
-    from any task propagates once every slice has finished.  n_workers
-    == 1 runs inline.  Thread count never affects the results, only
-    wall time.  n_workers below 1 raises ValueError.
+    Used in a with block, map(fn, tasks) returns fn(*task) for each task,
+    in task order.  The caller and min(n_workers, len(tasks)) - 1 helpers
+    run one loop: pull the next index from a shared iterator, store that
+    task's result.  The pool catches nothing: a task's exception ends its
+    thread's loop and propagates once the others run out of tasks.
+    Thread count changes wall time only, never the results.  n_workers
+    below 1 raises ValueError.
     """
 
     def __init__(self, n_workers: int = 1):
@@ -112,24 +111,22 @@ class WorkerPool:
             self._executor = None
 
     def map(self, fn, tasks):
-        def serve(chunk):
-            return [fn(*task) for task in chunk]
+        results = [None] * len(tasks)
+        # Under the GIL a range iterator hands each index to one thread.
+        indices = iter(range(len(tasks)))
 
-        n = min(self.n_workers, len(tasks))
-        if self._executor is None or n <= 1:
-            return serve(tasks)
-        cuts = [len(tasks) * k // n for k in range(n + 1)]
-        helpers = [
-            self._executor.submit(serve, tasks[cuts[k] : cuts[k + 1]])
-            for k in range(1, n)
-        ]
+        def serve():
+            for i in indices:
+                results[i] = fn(*tasks[i])
+
+        helpers = [self._executor.submit(serve) for _ in tasks[1 : self.n_workers]]
         try:
-            results = serve(tasks[: cuts[1]])
+            serve()
         finally:
             # No task of this round runs on once map has returned or raised.
             wait(helpers)
         for future in helpers:
-            results.extend(future.result())
+            future.result()
         return results
 
 

@@ -175,7 +175,11 @@ def lu_factor(matrix: Array) -> tuple[Array, Array]:
 
 
 def lu_solve(factors: tuple[Array, Array], rhs: Array) -> Array:
-    """Solve with the factors from lu_factor, overwriting rhs (getrs)."""
+    """Solve with the factors from lu_factor, overwriting rhs (getrs).
+
+    scipy's getrs shifts piv in place during the call, so workers must
+    never share a factorization: each corrector step factors its own.
+    """
     lu, piv = factors
     x, _ = dgetrs(lu, piv, rhs, overwrite_b=True)
     return x

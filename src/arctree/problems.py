@@ -227,8 +227,7 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
-    # Products with a vector go through np.dot, which releases the GIL
-    # (see ks_residual).
+    # Every product goes through np.dot, which releases the GIL.
     derivs = np.dot(stacked.reshape(3 * n, n), w)
     d1w, d4w = derivs[:n], derivs[2 * n :]
     # Diagonals are written through strided views of the flat buffers:
@@ -241,8 +240,7 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     modes, modes_t = removed_modes(n)
     out = np.empty((n + 1, n + 2))
     j_ww = out[:n, :n]
-    np.matmul(modes, modes_t @ quad, out=j_ww)
-    np.subtract(linear, j_ww, out=j_ww)
+    np.subtract(linear, np.dot(modes, np.dot(modes_t, quad)), out=j_ww)
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     out[:n, n + 1] = d4w

@@ -1,5 +1,6 @@
 """Bootstrap, spawning, corrector rounds, root advancement, main loop."""
 
+import sys
 import threading
 import zlib
 from dataclasses import replace
@@ -345,17 +346,50 @@ def test_worker_pool_returns_results_in_task_order(n_workers, n_tasks):
     with WorkerPool(n_workers) as pool:
         results = pool.map(fn, tasks)
     assert results == [i * 10 for i in range(n_tasks)]
-    if n_tasks:
-        assert served_by[0] == threading.get_ident()
     assert len(set(served_by.values())) <= n_workers
+
+
+def test_worker_pool_lets_other_threads_take_the_tasks_a_blocked_one_leaves():
+    # Task 1 waits for task 2.  Had one thread been handed both, task 1
+    # would wait out its timeout and return False.
+    released = threading.Event()
+
+    def fn(i):
+        if i == 2:
+            released.set()
+        return released.wait(timeout=2.0) if i == 1 else True
+
+    with WorkerPool(2) as pool:
+        assert pool.map(fn, [(i,) for i in range(3)]) == [True, True, True]
+
+
+def test_worker_pool_runs_each_task_once_under_frequent_thread_switches():
+    # More threads than cores, switching every microsecond: an index
+    # handed out twice or lost shows up in runs or in the results.
+    n_tasks = 3000
+    runs = []
+
+    def fn(i):
+        runs.append(i)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with WorkerPool(8) as pool:
+            results = pool.map(fn, [(i,) for i in range(n_tasks)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == list(range(n_tasks))
+    assert results == [i * i for i in range(n_tasks)]
 
 
 @pytest.mark.parametrize("n_workers", [2, 3])
 def test_worker_pool_propagates_other_errors_from_a_helper(n_workers):
-    # Each raising task is the last of its slice: task 4 ends the last
-    # helper's slice, task 5 // n_workers - 1 the caller's.  The error
-    # propagates only after every other task has run.  The pool catches
-    # step failures no more than contract errors.
+    # The raising task is the last one, or one of the first a thread
+    # pulls.  The thread that runs it stops; the others run every task
+    # left, so the error propagates only after every other task has run.
+    # The pool catches step failures no more than contract errors.
     n_tasks = 5
     for failing in (n_tasks - 1, n_tasks // n_workers - 1):
         for error in (ValueError("contract error"), CorrectorFailure("no step")):
