@@ -313,8 +313,6 @@ def make_root(
         t_init=np.asarray(direction, dtype=float).copy(),
         h_init=abs(params.h_init),
         h_base=abs(params.h_init),
-        nu=0,
-        nu_init=0,
         color=Color.GREEN,
         residual_norm_current=r0,
     )
@@ -332,8 +330,6 @@ def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
     children created.  A child's residual is evaluated in its first
     corrector round, not here.
     """
-    if budget <= 0:
-        return 0
     spawned = 0
     for leaf, depth in breadth_first_leaves(root):
         if spawned >= budget:

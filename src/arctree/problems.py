@@ -28,26 +28,30 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .problem import Array, ProblemDefinition
 
 
+def circle_residual(z: Array) -> Array:
+    """F(z) = x^2 + lambda^2 - 1 for z = (x, lambda)."""
+    return np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
+
+
+def circle_jacobian(z: Array) -> Array:
+    """dF/dz = [2 x, 2 lambda]."""
+    return np.array([[2.0 * z[0], 2.0 * z[1]]])
+
+
 def circle_problem() -> ProblemDefinition:
     """Unit circle in (x, lambda): F = x^2 + lambda^2 - 1."""
-
-    def residual(z: Array) -> Array:
-        return np.array([z[0] ** 2 + z[1] ** 2 - 1.0])
-
-    def jacobian(z: Array) -> Array:
-        return np.array([[2.0 * z[0], 2.0 * z[1]]])
-
     return ProblemDefinition(
         n_dim=2,
         lambda_index=1,
-        residual=residual,
-        jacobian=jacobian,
+        residual=circle_residual,
+        jacobian=circle_jacobian,
     )
 
 
@@ -56,17 +60,37 @@ def circle_problem() -> ProblemDefinition:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def spectral_operators(n: int) -> tuple[Array, Array, Array, Array]:
-    """Dense differentiation matrices D1, D2, D4 and the dealias projector.
+class KsOperators(NamedTuple):
+    """Read-only operators of the n-point grid, cached by ks_operators.
 
-    Built by transforming the identity: column j of D_p is the p-th
-    spectral derivative of a unit impulse at grid point j.  The Nyquist
-    mode is zeroed for odd derivative orders (it carries no usable sign
-    information on a real grid).  The projector zeroes every mode above
-    n // 3, the classic two-thirds rule for a quadratic nonlinearity.
-    D1, D2 and D4 are the planes of one (3, n, n) array, which
-    stacked_derivatives views flat.
+    d1, d2 and d4 are the planes of one (3, n, n) array, which rows views
+    as (3n, n) (rows @ w stacks D1 w, D2 w and D4 w) and flat as
+    (3, n * n) ([a, b, c] @ flat is a D1 + b D2 + c D4, flattened).
+    modes (U) and modes_t (U^T) span what dealias removes.
+    """
+
+    d1: Array
+    d2: Array
+    d4: Array
+    rows: Array
+    flat: Array
+    dealias: Array
+    modes: Array
+    modes_t: Array
+
+
+@lru_cache(maxsize=8)
+def ks_operators(n: int) -> KsOperators:
+    """The KsOperators of n points, built by transforming the identity.
+
+    Column j of D_p is the p-th spectral derivative of a unit impulse at
+    grid point j.  The Nyquist mode is zeroed for odd derivative orders
+    (it carries no usable sign information on a real grid).  dealias
+    zeroes every mode above n // 3, the classic two-thirds rule for a
+    quadratic nonlinearity.  For even n it is I - U U^T, where the
+    columns of U are sqrt(2/n) cos(k x) and sqrt(2/n) sin(k x) for
+    n // 3 < k < n / 2 and the Nyquist mode sqrt(1/n) (-1)^j: 43 columns
+    at n = 128, so dealias @ A is two thin products, A - U @ (U^T @ A).
     """
     eye = np.eye(n)
     spec = np.fft.rfft(eye, axis=0)
@@ -83,46 +107,22 @@ def spectral_operators(n: int) -> tuple[Array, Array, Array, Array]:
         plane[...] = back(mult)
     mask = (k <= n // 3).astype(float) + 0j
     dealias = back(mask)
-    # Cached and shared by every later call: never to be written.  Views of
-    # the read-only stack are read-only too.
-    derivatives.setflags(write=False)
-    dealias.setflags(write=False)
-    return (*derivatives, dealias)
 
+    high = np.arange(n // 3 + 1, n // 2)
+    kx = np.outer(grid(n), high)
+    modes = np.empty((n, 2 * high.size + 1))
+    modes[:, : high.size] = np.cos(kx)
+    modes[:, high.size : 2 * high.size] = np.sin(kx)
+    modes[:, : 2 * high.size] *= np.sqrt(2.0 / n)
+    modes[:, -1] = np.sqrt(1.0 / n) * (-1.0) ** np.arange(n)
+    modes_t = np.ascontiguousarray(modes.T)
 
-@lru_cache(maxsize=8)
-def removed_modes(n: int) -> tuple[Array, Array]:
-    """Orthonormal basis U of the modes the dealias projector removes, and U^T.
-
-    For even n the projector is I - U U^T, where the columns of U are
-    sqrt(2/n) cos(k x) and sqrt(2/n) sin(k x) for n // 3 < k < n / 2 and
-    the Nyquist mode sqrt(1/n) (-1)^j, so dealias @ A equals
-    A - U @ (U^T @ A): two thin products (43 columns at n = 128) in place
-    of one n^3 product.  Built on first use, by ks_jacobian; read-only,
-    like the operators beside it.
-    """
-    x = grid(n)
-    k = np.arange(n // 3 + 1, n // 2)
-    kx = np.outer(x, k)
-    basis = np.empty((n, 2 * k.size + 1))
-    basis[:, : k.size] = np.cos(kx)
-    basis[:, k.size : 2 * k.size] = np.sin(kx)
-    basis[:, : 2 * k.size] *= np.sqrt(2.0 / n)
-    basis[:, -1] = np.sqrt(1.0 / n) * (-1.0) ** np.arange(n)
-    transposed = np.ascontiguousarray(basis.T)
-    basis.setflags(write=False)
-    transposed.setflags(write=False)
-    return basis, transposed
-
-
-def stacked_derivatives(n: int) -> Array:
-    """D1, D2 and D4 flattened into the rows of one (3, n * n) array.
-
-    [a, b, c] @ stacked_derivatives(n) is a D1 + b D2 + c D4, flattened,
-    in one product.  A read-only view of the array spectral_operators
-    holds them in, not a copy.
-    """
-    return spectral_operators(n)[0].base.reshape(3, n * n)
+    # Cached and shared by every later call: never to be written.  Views
+    # taken of the read-only arrays are read-only too.
+    for op in (derivatives, dealias, modes, modes_t):
+        op.setflags(write=False)
+    rows, flat = derivatives.reshape(3 * n, n), derivatives.reshape(3, n * n)
+    return KsOperators(*derivatives, rows, flat, dealias, modes, modes_t)
 
 
 def grid(n: int) -> Array:
@@ -136,6 +136,7 @@ class KsConfig:
 
     Frozen; reference_profile is a read-only copy (zeros by default) that
     anchors the phase only where ks_residual and ks_jacobian get no base.
+    Unpickling goes through the constructor, which makes that copy.
     """
 
     n_grid: int
@@ -156,6 +157,9 @@ class KsConfig:
                 raise ValueError("reference_profile must have n_grid entries")
         ref.setflags(write=False)
         object.__setattr__(self, "reference_profile", ref)
+
+    def __reduce__(self) -> tuple[type[KsConfig], tuple[int, float, Array]]:
+        return (KsConfig, (self.n_grid, self.amplitude, self.reference_profile))
 
     @property
     def n_dim(self) -> int:
@@ -178,7 +182,7 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     z_base = z the row is exactly 0.0.
     """
     n = config.n_grid
-    d1, _, _, dealias = spectral_operators(n)
+    ops = ks_operators(n)
     ref = config.reference_profile if z_base is None else z_base[:n]
     w = z[:n]
     c = z[n]
@@ -186,7 +190,7 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     # np.dot, unlike matmul, releases the GIL in its matrix-vector
     # products, so worker threads can evaluate residuals side by side.
     # D1 w, D2 w and D4 w come from one product with the rows of D1, D2, D4.
-    derivs = np.dot(stacked_derivatives(n).reshape(3 * n, n), w)
+    derivs = np.dot(ops.rows, w)
     d1w, d2w, d4w = derivs[:n], derivs[n : 2 * n], derivs[2 * n :]
     out = np.empty(n + 1)
     pde = out[:n]
@@ -194,7 +198,7 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     #   -c D1 w + dealias (w D1 w) + D2 w + lam D4 w - A sin(w),
     # the first addition with its operands swapped, which IEEE addition
     # allows without changing a bit.
-    np.dot(dealias, w * d1w, out=pde)
+    np.dot(ops.dealias, w * d1w, out=pde)
     d1w *= -c
     pde += d1w
     pde += d2w
@@ -203,7 +207,7 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     forcing = np.sin(w)
     forcing *= config.amplitude
     pde -= forcing
-    out[n] = np.dot(w - ref, np.dot(d1, ref)) / n
+    out[n] = np.dot(w - ref, np.dot(ops.d1, ref)) / n
     return out
 
 
@@ -217,34 +221,32 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
             - A diag(cos w),
 
     built with two thin products through the modes the dealias projector
-    removes (see removed_modes) and one by the stacked derivative
-    operators.
+    removes and one by the flattened derivative operators (see
+    KsOperators).
     """
     n = config.n_grid
-    d1 = spectral_operators(n)[0]
-    stacked = stacked_derivatives(n)
+    ops = ks_operators(n)
     ref = config.reference_profile if z_base is None else z_base[:n]
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
     # Every product goes through np.dot, which releases the GIL.
-    derivs = np.dot(stacked.reshape(3 * n, n), w)
+    derivs = np.dot(ops.rows, w)
     d1w, d4w = derivs[:n], derivs[2 * n :]
     # Diagonals are written through strided views of the flat buffers:
     # every (n + 1)-th entry of quad, every (n + 3)-th of out.
-    quad = d1 * w[:, None]
+    quad = ops.d1 * w[:, None]
     quad.reshape(-1)[:: n + 1] += d1w
-    linear = np.dot(np.array([-c, 1.0, lam]), stacked).reshape(n, n)
+    linear = np.dot(np.array([-c, 1.0, lam]), ops.flat).reshape(n, n)
     linear += quad
     # dealias @ quad = quad - U @ (U^T @ quad), U the removed modes.
-    modes, modes_t = removed_modes(n)
     out = np.empty((n + 1, n + 2))
     j_ww = out[:n, :n]
-    np.subtract(linear, np.dot(modes, np.dot(modes_t, quad)), out=j_ww)
+    np.subtract(linear, np.dot(ops.modes, np.dot(ops.modes_t, quad)), out=j_ww)
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     out[:n, n + 1] = d4w
-    np.divide(np.dot(d1, ref), n, out=out[n, :n])
+    np.divide(np.dot(ops.d1, ref), n, out=out[n, :n])
     out[n, n:] = 0.0
     return out
 

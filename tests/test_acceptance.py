@@ -281,6 +281,9 @@ def test_criterion_6_rounds_vs_serial_steps(tmp_path):
     # just reported: a round of parallel correction replaces one serial
     # corrector step.
     assert tree.rounds_executed <= serial.corrector_steps_total
+    # Both runs end where the CLI would exit 0.
+    assert tree.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    assert serial.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     print(
         f"PASS criterion 6: {tree.rounds_executed} tree rounds <= "
         f"{serial.corrector_steps_total} serial corrector steps"

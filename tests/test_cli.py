@@ -419,7 +419,7 @@ def test_verbose_params_produce_dot_snapshots(tmp_path):
 def test_module_invocation_smoke(tmp_path):
     proc = subprocess.run(
         [
-            sys.executable, "-m", "arctree",
+            sys.executable, "-W", "error", "-m", "arctree",
             "--params", str(data_path("circle.params")),
             "--initial-point", str(data_path("circle_start.txt")),
             "--outdir", str(tmp_path),

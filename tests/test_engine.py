@@ -168,6 +168,8 @@ def test_spawn_round_respects_budget():
     assert spawn_round(root, params, budget=2) == 2
     assert len(root.children) == 2
     assert spawn_round(root, params, budget=0) == 0
+    assert spawn_round(root, params, budget=-1) == 0
+    assert len(root.children) == 2
 
 
 def test_spawn_round_skips_steps_above_h_max():

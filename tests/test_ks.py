@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import sys
 from dataclasses import replace
 
@@ -13,11 +14,13 @@ import arctree.problems
 from arctree import (
     KsConfig,
     TerminationReason,
+    circle_problem,
     data_path,
     ks_problem,
     load_ks_fixture,
     natural_continuation,
     parse_parameters,
+    read_initial_point,
     run_continuation,
     serial_pac,
 )
@@ -25,12 +28,10 @@ from arctree.problem import evaluate_residual
 from arctree.problems import (
     grid,
     ks_jacobian,
+    ks_operators,
     ks_residual,
     reflect_profile,
     reflect_state,
-    removed_modes,
-    spectral_operators,
-    stacked_derivatives,
 )
 
 
@@ -59,7 +60,8 @@ def fd_jacobian(fn, z, eps=1e-6):
 
 def test_first_derivative_is_exact_on_low_modes():
     n = 64
-    d1, d2, d4, _ = spectral_operators(n)
+    ops = ks_operators(n)
+    d1, d2, d4 = ops.d1, ops.d2, ops.d4
     x = grid(n)
     w = np.sin(3 * x) + 0.5 * np.cos(7 * x)
     assert d1 @ w == pytest.approx(3 * np.cos(3 * x) - 3.5 * np.sin(7 * x), abs=1e-12)
@@ -68,17 +70,17 @@ def test_first_derivative_is_exact_on_low_modes():
 
 
 def test_first_derivative_is_skew_symmetric():
-    d1 = spectral_operators(64)[0]
+    d1 = ks_operators(64).d1
     assert np.abs(d1 + d1.T).max() <= 1e-10
 
 
 def test_fourth_derivative_is_second_squared():
-    _, d2, d4, _ = spectral_operators(32)
-    assert d4 == pytest.approx(d2 @ d2, abs=1e-8)
+    ops = ks_operators(32)
+    assert ops.d4 == pytest.approx(ops.d2 @ ops.d2, abs=1e-8)
 
 
 def test_dealias_mask_is_a_projector():
-    dealias = spectral_operators(32)[3]
+    dealias = ks_operators(32).dealias
     assert dealias @ dealias == pytest.approx(dealias, abs=1e-12)
     x = grid(32)
     # mode 10 is within the kept band (k <= 32 // 3), mode 11 is not
@@ -124,7 +126,8 @@ def test_residual_equals_the_term_by_term_formula():
     # config's reference or at a base point holding the same profile.
     z0, config = load_ks_fixture()
     n = config.n_grid
-    d1, d2, d4, dealias = spectral_operators(n)
+    ops = ks_operators(n)
+    d1, d2, d4, dealias = ops.d1, ops.d2, ops.d4, ops.dealias
     rng = np.random.default_rng(3)
     base = z0 + 0.01 * rng.standard_normal(z0.shape)
     ref = base[:n]
@@ -153,7 +156,7 @@ def test_phase_row_vanishes_at_the_reference():
     z = make_state(config, w)
     assert ks_residual(config, z)[n] == 0.0
     # moving along the reference gradient changes the row linearly
-    d1 = spectral_operators(n)[0]
+    d1 = ks_operators(n).d1
     direction = d1 @ w
     z2 = make_state(config, w + 1e-3 * direction)
     expected = 1e-3 * float(direction @ direction) / n
@@ -161,22 +164,33 @@ def test_phase_row_vanishes_at_the_reference():
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
-def test_removed_modes_span_what_the_dealias_projector_removes(n):
-    modes, modes_t = removed_modes(n)
+def test_the_modes_span_what_the_dealias_projector_removes(n):
+    ops = ks_operators(n)
+    modes, modes_t = ops.modes, ops.modes_t
     assert modes.shape == (n, 2 * (n // 2 - n // 3 - 1) + 1)
     assert np.array_equal(modes_t, modes.T)
     assert np.abs(modes_t @ modes - np.eye(modes.shape[1])).max() <= 1e-14
-    dealias = spectral_operators(n)[3]
-    assert np.abs(np.eye(n) - modes @ modes_t - dealias).max() <= 1e-14
+    assert np.abs(np.eye(n) - modes @ modes_t - ops.dealias).max() <= 1e-14
 
 
 def test_operator_caches_are_read_only():
     # An in-place write to a cached operator would corrupt every later call.
-    for op in (*spectral_operators(32), stacked_derivatives(32), *removed_modes(32)):
+    for op in ks_operators(32):
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
         with pytest.raises(ValueError):
             op *= 2.0
+
+
+def test_stacked_operators_are_views_of_the_three_planes():
+    n = 32
+    ops = ks_operators(n)
+    planes = np.stack([ops.d1, ops.d2, ops.d4])
+    assert np.array_equal(ops.rows, planes.reshape(3 * n, n))
+    assert np.array_equal(ops.flat, planes.reshape(3, n * n))
+    for plane in (ops.d1, ops.d2, ops.d4):
+        assert np.shares_memory(ops.rows, plane)
+        assert np.shares_memory(ops.flat, plane)
 
 
 def dense_ks_jacobian(config, z):
@@ -185,7 +199,8 @@ def dense_ks_jacobian(config, z):
     Anchored at config.reference_profile.
     """
     n = config.n_grid
-    d1, d2, d4, dealias = spectral_operators(n)
+    ops = ks_operators(n)
+    d1, d2, d4, dealias = ops.d1, ops.d2, ops.d4, ops.dealias
     w, c, lam = z[:n], z[n], z[n + 1]
     d1w = d1 @ w
     j_ww = (
@@ -400,6 +415,25 @@ def test_config_is_frozen_and_its_reference_read_only():
     with pytest.raises(ValueError):
         KsConfig(n_grid=32).reference_profile[0] = 2.0
     assert np.array_equal(config.reference_profile, np.ones(32))
+
+
+def test_packaged_problems_survive_a_pickle_round_trip():
+    z_ks, config = load_ks_fixture()
+    cases = [
+        (circle_problem(), read_initial_point(data_path("circle_start.txt"))),
+        (ks_problem(config), z_ks),
+    ]
+    for problem, z0 in cases:
+        copy = pickle.loads(pickle.dumps(problem))
+        base = (z0,) if problem.anchored else ()
+        for name in ("residual", "jacobian"):
+            want = getattr(problem, name)(z0, *base)
+            got = getattr(copy, name)(z0, *base)
+            assert np.array_equal(got, want), name
+    config_copy = pickle.loads(pickle.dumps(config))
+    assert (config_copy.n_grid, config_copy.amplitude) == (128, config.amplitude)
+    assert np.array_equal(config_copy.reference_profile, config.reference_profile)
+    assert not config_copy.reference_profile.flags.writeable
 
 
 def test_the_anchor_moves_only_the_phase_row():

@@ -11,6 +11,13 @@ CIRCLE = [
     "--params", str(data_path("circle.params")),
     "--initial-point", str(data_path("circle_start.txt")),
 ]
+KS = [
+    "--problem", "ks",
+    "--params", str(data_path("ks_n128.params")),
+    "--initial-point", str(data_path("ks_start_n128.txt")),
+    "--budget", "12",
+    "--workers", "3",
+]
 
 
 def last_line(code: str) -> str:
@@ -19,11 +26,15 @@ def last_line(code: str) -> str:
 
 
 def test_a_circle_run_imports_no_scipy_linalg_package(tmp_path):
+    # The packaged KS example runs after it, in the same interpreter.
+    circle = CIRCLE + ["--outdir", str(tmp_path / "circle")]
+    ks = KS + ["--outdir", str(tmp_path / "ks")]
     out = last_line(
         f"""
         import sys
         import arctree.cli
-        assert arctree.cli.main({CIRCLE + ["--outdir", str(tmp_path)]!r}) == 0
+        assert arctree.cli.main({circle!r}) == 0
+        assert arctree.cli.main({ks!r}) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """
     )
