@@ -4,12 +4,12 @@ predictor-corrector arclength stepping.
 Both are deliberately simple single-branch loops.  They exist as
 correctness baselines and as the comparison column for benchmark runs.
 Like the tree, they pass each point to engine.emit_point once, when it
-is accepted, the start through engine.start_point, and serial-pac sizes
-its steps with engine.next_step, so a tree one node wide and one level
-deep reproduces it bit for bit while no predictor fails, on the KS
-problem as on the circle, each attempt anchored at its base point.  Both
-return the engine's ContinuationResult, with failed predictors as its
-failures and no rounds, and hold BLAS to one thread (see blas).
+is accepted, the start through engine.start_point.  serial-pac steps on
+the tree's sequence records, so a tree one node wide and one level deep
+reproduces it bit for bit while no predictor fails, each attempt
+anchored at its base point.  Both return the engine's ContinuationResult,
+with failed predictors as its failures and no rounds, and hold BLAS to
+one thread (see blas).
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from .engine import (
     bootstrap,
     correct,
     emit_point,
+    make_root,
     next_step,
     start_point,
     stop_reason,
 )
 from .params import RunParams
 from .problem import Array, CurvePoint, EvaluationError, ProblemDefinition
-from .tree import unit_secant
+from .tree import secant_direction
 
 
 @one_blas_thread()
@@ -65,14 +66,14 @@ def natural_continuation(
             if reason is not None:
                 break
             attempts += 1
-            z_new, taken = correct(problem, z, axis, h, params)
+            node, taken = correct(problem, z, axis, h, params)
             steps += taken
-            if z_new is None:
+            if node is None:
                 failures += 1
                 h *= 0.5
                 continue
-            emit_point(problem, params, z_new, accepted, sink)
-            z = z_new
+            emit_point(problem, params, node.zeta, accepted, sink)
+            z = node.zeta
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps, failures)
@@ -87,41 +88,37 @@ def serial_pac(
 ) -> ContinuationResult:
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
-    Each attempt predicts along the unit secant of the last two points,
-    or the previous direction when that secant is degenerate, as the
-    tree does, and runs up to max_iter corrector iterations.  On success
-    the step becomes next_step of the step and the iterations it took,
-    as the tree's base step does when its root advances: it grows when
-    the corrector needed fewer than max_iter - 1 iterations, shrinks when
-    it needed more, and is capped at h_max.  On failure it halves.  The run
-    ends by stop_reason on the last point, the step and the attempts
-    made, or when an accepted point fails re-verification.
+    Each attempt seeds one sequence from the last accepted one, at first
+    the tree's root, along its secant_direction with its base step, as a
+    tree leaf seeds, and runs up to max_iter corrector iterations.  An
+    accepted sequence's base step becomes next_step of its seed step and
+    its iterations, as a new root's does; a failure halves the last base
+    step.  The run ends by stop_reason on the last point, its base step
+    and the attempts made, or when an accepted point fails re-verification.
     """
     accepted: list[CurvePoint] = []
-    z, _ = start_point(problem, params, initial_point, accepted, sink)
-    tangent = bootstrap(problem, params, z)
-    h = abs(params.h_init)
+    z0, r0 = start_point(problem, params, initial_point, accepted, sink)
+    last = make_root(z0, r0, bootstrap(problem, params, z0), params)
     steps = 0
     failures = 0
     attempts = 0
     try:
         while True:
-            reason = stop_reason(problem, params, z, h, attempts)
+            reason = stop_reason(problem, params, last.zeta, last.h_base, attempts)
             if reason is not None:
                 break
             attempts += 1
-            z_new, taken = correct(problem, z, tangent, h, params)
+            node, taken = correct(
+                problem, last.zeta, secant_direction(last), last.h_base, params
+            )
             steps += taken
-            if z_new is None:
+            if node is None:
                 failures += 1
-                h *= 0.5
+                last.h_base *= 0.5
                 continue
-            secant = unit_secant(z, z_new)
-            if secant is not None:
-                tangent = secant
-            emit_point(problem, params, z_new, accepted, sink)
-            z = z_new
-            h = next_step(h, taken, params)
+            emit_point(problem, params, node.zeta, accepted, sink)
+            node.h_base = next_step(node.h_init, node.nu, params)
+            last = node
     except EvaluationError:
         reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps, failures)

@@ -192,12 +192,12 @@ def correct(
     tangent: Array,
     h: float,
     params: RunParams,
-) -> tuple[Array | None, int]:
+) -> tuple[TreeNode | None, int]:
     """Predict a step h along tangent from z_base, then correct to tolerance.
 
-    The sequence is one tree.seed node, advanced by step.  Returns the
-    converged iterate, or None when max_iter steps do not converge or a
-    step fails, together with the steps counted by the tree's rule: a step
+    The sequence is one tree.seed node, advanced by step.  Returns it
+    once converged, or None when max_iter steps do not converge or a step
+    fails, together with the steps counted by the tree's rule: a step
     counts once the corrector has been called, and a non-finite predictor
     never counts.
     """
@@ -207,7 +207,7 @@ def correct(
         if not stepped:
             return None, 0 if stepped is None else node.nu + 1
         if node.residual_norm_current <= params.tol_residual:
-            return node.zeta, node.nu
+            return node, node.nu
     return None, params.max_iter
 
 
@@ -292,7 +292,7 @@ def bootstrap(problem: ProblemDefinition, params: RunParams, z0: Array) -> Array
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
         )
-    direction = unit_secant(z0, neighbor)
+    direction = unit_secant(z0, neighbor.zeta)
     if direction is None:
         raise BootstrapError("bootstrap secant is degenerate")
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):

@@ -105,7 +105,7 @@ class RunParams:
                 raise bad(f"SCALE_PROCESS_{k} must be positive and finite")
         if self.verbose < 0:
             raise bad("VERBOSE must be nonnegative")
-        if self.worker_budget is not None and self.worker_budget < 1:
+        if self.worker_budget < 1:
             raise bad("worker budget must be at least 1")
         if self.round_limit < 1:
             raise bad("round limit must be at least 1")

@@ -79,7 +79,9 @@ SINGULAR_PIVOT_RTOL = 1e-14
 
 
 class EvaluationError(RuntimeError):
-    """Residual evaluation produced non-finite values."""
+    """A non-finite residual, or one above tol_residual at re-verification
+    (emit_point): past the start, a run ends there in EVALUATION_FAILURE.
+    """
 
 
 class CorrectorFailure(RuntimeError):

@@ -60,13 +60,13 @@ class TreeNode:
     secant_direction.  nu counts corrector iterations applied to this
     node; nu_init records the parent's iteration count at spawn time.
     h_base is the adaptive base step scaled to seed this node's children.
-    It starts as the node's own seed step; when the node becomes the root
-    it is reset from h_init and nu (engine.next_step), and it shrinks
-    whenever all of the node's children diverge.  residual is F(zeta) at
-    base z_init, kept for the next corrector step, or None while the node
-    is fresh; residual_norm_current is its norm (inf until first
-    evaluated) and residual_norm_previous the norm the last step started
-    from, None exactly while nu == 0, both at the same base.
+    It starts as the node's own seed step; when the node becomes the root,
+    or serial-pac accepts it, it is reset from h_init and nu
+    (engine.next_step), and it shrinks after its children fail.  residual
+    is F(zeta) at base z_init, kept for the next corrector step, or None
+    while the node is fresh; residual_norm_current is its norm (inf until
+    first evaluated) and residual_norm_previous the norm the last step
+    started from, None exactly while nu == 0, both at the same base.
     """
 
     zeta: Array

@@ -18,6 +18,9 @@ from arctree import (
     run_continuation,
     serial_pac,
 )
+from arctree import baselines
+from arctree.engine import bootstrap
+from arctree.problem import bordered_newton_step
 from conftest import make_params
 
 Z0 = np.array([1.0, 0.0])
@@ -125,6 +128,38 @@ def test_serial_sink_sees_every_accepted_point():
 def test_serial_bootstrap_failure_propagates():
     with pytest.raises(BootstrapError):
         serial_pac(circle_problem(), make_params(), np.array([2.0, 0.0]))
+
+
+def test_serial_seeds_along_its_last_direction_when_the_secant_is_degenerate(
+    monkeypatch,
+):
+    # The bordered step for bootstrap's lambda-axis tangent; for any other
+    # tangent the corrector returns its base point, a circle point, so
+    # every attempt converges on its own base and leaves no secant.
+    circle = circle_problem()
+
+    def corrector(zeta, tangent, z_base, h):
+        if np.array_equal(tangent, [0.0, 1.0]):
+            f = circle.residual(zeta)
+            return bordered_newton_step(circle, zeta, tangent, z_base, h, f)
+        return z_base.copy()
+
+    problem = replace(circle, corrector=corrector)
+    params = make_params(round_limit=5)
+    direction = bootstrap(problem, params, Z0)
+    seeds = []
+    correct = baselines.correct
+
+    def spy(problem, z_base, tangent, h, params):
+        seeds.append(tangent.copy())
+        return correct(problem, z_base, tangent, h, params)
+
+    monkeypatch.setattr(baselines, "correct", spy)
+    trace = serial_pac(problem, params, Z0)
+    assert trace.termination_reason is TerminationReason.ITERATION_BUDGET
+    assert len(seeds) == params.round_limit
+    assert all(np.array_equal(t, direction) for t in seeds)
+    assert all(np.array_equal(p.z, Z0) for p in trace.accepted_points)
 
 
 def test_serial_wastes_few_predictors_on_ks():

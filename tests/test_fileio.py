@@ -15,7 +15,6 @@ from arctree import (
     read_curve,
     read_initial_point,
     write_curve,
-    write_parameters,
 )
 from arctree.tree import Color
 from conftest import make_node, make_params
@@ -67,15 +66,6 @@ def run_params(draw):
         scalings=scalings,
         verbose=draw(st.integers(min_value=0, max_value=2)),
     )
-
-
-@settings(max_examples=60, deadline=None)
-@given(run_params())
-def test_parameter_files_round_trip(tmp_path_factory, params):
-    path = tmp_path_factory.mktemp("params") / "run.params"
-    write_parameters(params, path)
-    back = parse_parameters(path)
-    assert back == params
 
 
 def write_lines(tmp_path, lines, name="bad.params"):
