@@ -119,23 +119,16 @@ def main() -> int:
     args = parser.parse_args()
 
     out = Path(args.out) if args.out else data_path(f"ks_start_n{args.n}.txt")
+    config = KsConfig(n_grid=args.n, amplitude=args.amplitude)
 
     if args.check:
         z = np.loadtxt(out)
-        config = KsConfig(
-            n_grid=args.n,
-            amplitude=args.amplitude,
-            reference_profile=z[: args.n],
-        )
         norm = float(np.linalg.norm(ks_residual(config, z)))
         print(f"{out}: residual {norm:.3e}")
         return 0 if norm < 5e-7 else 1
 
     w = build_start(args.n, args.lam, args.amplitude)
     z = state(w, args.lam)
-    config = KsConfig(
-        n_grid=args.n, amplitude=args.amplitude, reference_profile=w
-    )
     norm = float(np.linalg.norm(ks_residual(config, z)))
     print(f"stationary state at lambda={args.lam}: full-system residual {norm:.3e}")
     if norm > 5e-7:

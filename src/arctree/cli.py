@@ -101,16 +101,16 @@ def resolve_problem(
     initial_point,
     ks_amplitude: float,
 ) -> ProblemDefinition:
-    """Build the problem the --problem argument names."""
+    """Build the problem the --problem argument names.
+
+    initial_point is unused: the KS phase is anchored at each sequence's
+    own base point.  The parameter stays because perfbench/probe.py passes
+    it by position until ROADMAP item 5.
+    """
     if spec == "circle":
         return circle_problem()
     if spec == "ks":
-        n = params.n_dim - 2
-        config = KsConfig(
-            n_grid=n,
-            amplitude=ks_amplitude,
-            reference_profile=initial_point[:n],
-        )
+        config = KsConfig(n_grid=params.n_dim - 2, amplitude=ks_amplitude)
         return ks_problem(config)
     if ":" in spec:
         module_name, attr = spec.split(":", 1)

@@ -134,11 +134,8 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
         return Color.YELLOW if node.nu <= params.max_iter + 1 else Color.BLACK
     if node.nu > params.max_iter:
         return Color.BLACK
-    if (
-        node.nu >= 1
-        and node.residual_norm_previous is not None
-        and r > params.mu * node.residual_norm_previous
-    ):
+    previous = node.residual_norm_previous
+    if previous is not None and r > params.mu * previous:
         return Color.BLACK
     return Color.RED
 

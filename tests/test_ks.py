@@ -122,8 +122,7 @@ def test_residual_matches_hand_computation_on_a_sine():
 
 def test_residual_equals_the_term_by_term_formula():
     # The stacked product keeps the arithmetic of one product per
-    # operator, so the bits must agree, with the phase anchored at the
-    # config's reference or at a base point holding the same profile.
+    # operator, so the bits must agree, with the phase anchored at a base.
     z0, config = load_ks_fixture()
     n = config.n_grid
     ops = ks_operators(n)
@@ -131,7 +130,6 @@ def test_residual_equals_the_term_by_term_formula():
     rng = np.random.default_rng(3)
     base = z0 + 0.01 * rng.standard_normal(z0.shape)
     ref = base[:n]
-    anchored = replace(config, reference_profile=ref)
     for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
         w, c, lam = z[:n], z[n], z[n + 1]
         d1w = d1 @ w
@@ -144,7 +142,6 @@ def test_residual_equals_the_term_by_term_formula():
         )
         phase = float((w - ref) @ (d1 @ ref)) / n
         expected = np.concatenate([pde, [phase]])
-        assert np.array_equal(ks_residual(anchored, z), expected)
         assert np.array_equal(ks_residual(config, z, base), expected)
 
 
@@ -152,15 +149,15 @@ def test_phase_row_vanishes_at_the_reference():
     n = 32
     x = grid(n)
     w = np.cos(x) + 0.2 * np.sin(2 * x)
-    config = KsConfig(n_grid=n, reference_profile=w)
+    config = KsConfig(n_grid=n)
     z = make_state(config, w)
-    assert ks_residual(config, z)[n] == 0.0
+    assert ks_residual(config, z, z)[n] == 0.0
     # moving along the reference gradient changes the row linearly
     d1 = ks_operators(n).d1
     direction = d1 @ w
     z2 = make_state(config, w + 1e-3 * direction)
     expected = 1e-3 * float(direction @ direction) / n
-    assert ks_residual(config, z2)[n] == pytest.approx(expected, rel=1e-12)
+    assert ks_residual(config, z2, z)[n] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
@@ -193,10 +190,10 @@ def test_stacked_operators_are_views_of_the_three_planes():
         assert np.shares_memory(ops.flat, plane)
 
 
-def dense_ks_jacobian(config, z):
+def dense_ks_jacobian(config, z, ref):
     """The Jacobian written out term by term, as the oracle for ks_jacobian.
 
-    Anchored at config.reference_profile.
+    Anchored at the reference profile ref.
     """
     n = config.n_grid
     ops = ks_operators(n)
@@ -212,7 +209,7 @@ def dense_ks_jacobian(config, z):
     )
     top = np.hstack([j_ww, -d1w[:, None], (d4 @ w)[:, None]])
     phase_row = np.zeros(n + 2)
-    phase_row[:n] = (d1 @ config.reference_profile) / n
+    phase_row[:n] = (d1 @ ref) / n
     return np.vstack([top, phase_row[None, :]])
 
 
@@ -220,14 +217,12 @@ def test_jacobian_matches_the_dense_formula():
     z0, config = load_ks_fixture()
     rng = np.random.default_rng(5)
     base = z0 + 0.01 * rng.standard_normal(z0.shape)
-    anchored = replace(config, reference_profile=base[:128])
     for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
         z[128] = 0.3  # a non-zero wave speed exercises the c D1 term
         fused = ks_jacobian(config, z, base)
-        dense = dense_ks_jacobian(anchored, z)
+        dense = dense_ks_jacobian(config, z, base[:128])
         assert fused.shape == dense.shape == (129, 130)
         assert np.abs(fused - dense).max() <= 1e-13 * np.abs(dense).max()
-        assert np.array_equal(ks_jacobian(anchored, z), fused)
 
 
 def test_carried_residuals_are_never_stale(monkeypatch):
@@ -329,10 +324,11 @@ def test_the_start_residual_is_evaluated_once(algorithm):
 def test_jacobian_matches_finite_differences():
     n = 32
     x = grid(n)
-    config = KsConfig(n_grid=n, reference_profile=np.cos(x))
+    config = KsConfig(n_grid=n)
+    base = make_state(config, np.cos(x))
     z = make_state(config, 0.8 * np.cos(x) - 0.3 * np.sin(2 * x), c=0.2, lam=0.4)
-    analytic = ks_jacobian(config, z)
-    numeric = fd_jacobian(lambda v: ks_residual(config, v), z)
+    analytic = ks_jacobian(config, z, base)
+    numeric = fd_jacobian(lambda v: ks_residual(config, v, base), z)
     scale = max(1.0, np.abs(analytic).max())
     assert np.abs(analytic - numeric).max() / scale <= 1e-6
 
@@ -350,17 +346,18 @@ def test_reflect_profile_is_an_involution():
 
 def test_reflection_maps_solutions_to_solutions():
     # The pde rows of the reflected state are the reflected negated rows
-    # of the original, provided the phase reference is reflected too.
+    # of the original, provided the phase base is reflected too.
     n = 64
     x = grid(n)
     rng = np.random.default_rng(3)
     w = np.cos(x) + 0.1 * rng.standard_normal(n)
-    ref = np.cos(x + 0.2)
-    config = KsConfig(n_grid=n, reference_profile=ref)
-    mirrored = KsConfig(n_grid=n, reference_profile=reflect_profile(ref))
+    config = KsConfig(n_grid=n)
+    base = make_state(config, np.cos(x + 0.2))
     z = make_state(config, w, c=0.15, lam=0.31)
-    r = ks_residual(config, z)
-    r_mirror = ks_residual(mirrored, reflect_state(config, z))
+    r = ks_residual(config, z, base)
+    r_mirror = ks_residual(
+        config, reflect_state(config, z), reflect_state(config, base)
+    )
     assert r_mirror[:n] == pytest.approx(reflect_profile(r[:n]), abs=1e-10)
     # the phase row flips sign: reflection reverses the anchor's gradient
     assert r_mirror[n] == pytest.approx(-r[n], abs=1e-12)
@@ -383,11 +380,6 @@ def test_non_finite_amplitude_is_rejected(amplitude):
         KsConfig(n_grid=32, amplitude=amplitude)
 
 
-def test_reference_profile_shape_is_checked():
-    with pytest.raises(ValueError):
-        KsConfig(n_grid=32, reference_profile=np.zeros(16))
-
-
 def test_fixture_with_the_wrong_entry_count_is_rejected(tmp_path, monkeypatch):
     # 129 values: one short of the 128 profile entries, c and lambda.
     short = tmp_path / "ks_start_n128.txt"
@@ -397,24 +389,22 @@ def test_fixture_with_the_wrong_entry_count_is_rejected(tmp_path, monkeypatch):
         load_ks_fixture()
 
 
-def test_config_copies_its_reference():
-    ref = np.ones(32)
-    config = KsConfig(n_grid=32, reference_profile=ref)
-    ref[0] = 99.0
-    assert config.reference_profile[0] == 1.0
-
-
-def test_config_is_frozen_and_its_reference_read_only():
-    config = KsConfig(n_grid=32, reference_profile=np.ones(32))
+def test_config_is_frozen():
+    config = KsConfig(n_grid=32)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.reference_profile = np.zeros(32)
+        config.n_grid = 64
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.amplitude = 1.0
-    with pytest.raises(ValueError):
-        config.reference_profile[0] = 2.0
-    with pytest.raises(ValueError):
-        KsConfig(n_grid=32).reference_profile[0] = 2.0
-    assert np.array_equal(config.reference_profile, np.ones(32))
+
+
+def test_config_is_a_hashable_value():
+    assert KsConfig(32) == KsConfig(32)
+    assert KsConfig(32) != KsConfig(64)
+    assert KsConfig(32) != KsConfig(32, amplitude=1.0)
+    assert hash(KsConfig(32)) == hash(KsConfig(32))
+    cache = {KsConfig(32): "n32"}
+    assert cache[KsConfig(n_grid=32, amplitude=8.09)] == "n32"
+    assert [f.name for f in dataclasses.fields(KsConfig)] == ["n_grid", "amplitude"]
 
 
 def test_packaged_problems_survive_a_pickle_round_trip():
@@ -430,10 +420,7 @@ def test_packaged_problems_survive_a_pickle_round_trip():
             want = getattr(problem, name)(z0, *base)
             got = getattr(copy, name)(z0, *base)
             assert np.array_equal(got, want), name
-    config_copy = pickle.loads(pickle.dumps(config))
-    assert (config_copy.n_grid, config_copy.amplitude) == (128, config.amplitude)
-    assert np.array_equal(config_copy.reference_profile, config.reference_profile)
-    assert not config_copy.reference_profile.flags.writeable
+    assert pickle.loads(pickle.dumps(config)) == config
 
 
 def test_the_anchor_moves_only_the_phase_row():
@@ -450,6 +437,14 @@ def test_the_anchor_moves_only_the_phase_row():
     # Anchored at itself, a point's phase row is exactly zero.
     assert ks_residual(config, z, z)[n] == 0.0
     assert ks_problem(config).residual(z, z)[n] == 0.0
+
+
+def test_no_base_anchors_at_the_point_itself():
+    z0, config = load_ks_fixture()
+    rng = np.random.default_rng(13)
+    for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
+        for fn in (ks_residual, ks_jacobian):
+            assert fn(config, z).tobytes() == fn(config, z, z).tobytes()
 
 
 def test_threaded_rounds_match_one_worker_under_frequent_switches():
@@ -497,7 +492,7 @@ def test_packaged_fixture_converges():
     assert z[config.n_grid] == 0.0  # starts on the standing branch
     r = ks_residual(config, z)
     assert np.abs(r).max() <= 5e-7
-    assert r[config.n_grid] == 0.0  # reference equals the profile itself
+    assert r[config.n_grid] == 0.0  # with no base, anchored at z itself
 
 
 def test_fixture_profile_is_reflection_symmetric():

@@ -6,7 +6,8 @@ failure:
 - layertrace.py rebinds named functions in arctree modules; a target
   that no longer resolves is skipped and its metrics silently read 0.
 - verify.py re-verifies a KS row with KsConfig(n_grid=, reference_profile=)
-  and ks_residual(config, row), with no base.
+  and ks_residual(config, row), with no base; the keyword is accepted and
+  ignored, and no base anchors the phase at the row itself.
 - probe.py runs the CLI's parser, parse_parameters, read_initial_point
   and the positional resolve_problem(spec, params, z0, amplitude), then
   a one-argument problem.residual(z0).
@@ -20,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from arctree.problems import KsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -54,6 +57,10 @@ def test_verify_re_verifies_the_packaged_ks_start():
     # A phase row that is not exactly 0.0 reads as an infinite residual.
     (residual,) = verify._row_residuals("ks", rows)
     assert residual <= tol
+
+
+def test_verify_keyword_still_builds_the_config():
+    assert KsConfig(n_grid=128, reference_profile=np.ones(128)) == KsConfig(n_grid=128)
 
 
 @pytest.mark.parametrize("workload", ["ks128-tree", "circle-tree"])
