@@ -24,7 +24,6 @@ from .engine import (
     bootstrap,
     correct,
     emit_point,
-    make_root,
     next_step,
     start_point,
     stop_reason,
@@ -89,8 +88,9 @@ def serial_pac(
     """Classic adaptive pseudo-arclength stepping, one branch at a time.
 
     Each attempt seeds one sequence from the last accepted one, at first
-    the tree's root, along its secant_direction with its base step, as a
-    tree leaf seeds, and runs up to max_iter corrector iterations.  An
+    the tree's root that bootstrap builds at the start, along its
+    secant_direction with its base step, as a tree leaf seeds, and runs
+    up to max_iter corrector iterations.  An
     accepted sequence's base step becomes next_step of its seed step and
     its iterations, as a new root's does; a failure halves the last base
     step.  The run ends by stop_reason on the last point, its base step
@@ -98,7 +98,7 @@ def serial_pac(
     """
     accepted: list[CurvePoint] = []
     z0, r0 = start_point(problem, params, initial_point, accepted, sink)
-    last = make_root(z0, r0, bootstrap(problem, params, z0), params)
+    last = bootstrap(problem, params, z0, r0)
     steps = 0
     failures = 0
     attempts = 0

@@ -3,11 +3,12 @@
 The engine traces a solution curve by maintaining a rooted tree of
 speculative corrector sequences.  The root is the most recent accepted
 point: first the start, emitted by start_point before bootstrap finds
-the direction.  Each round it seeds predictor children at every leaf
-(within the worker budget and depth cap), applies one corrector
-iteration to every unfinished node concurrently, recolors, prunes, and
-advances the root down a confirmed chain of converged points, emitting
-each point as it becomes the root.  Each new root's base step comes
+the direction and builds the root there.  Each round it seeds predictor
+children at every leaf, within the depth cap and the worker budget less
+the unfinished nodes, applies one corrector iteration to every
+unfinished node concurrently, recolors, prunes, and advances the root
+down a confirmed chain of converged points, emitting each point as it
+becomes the root.  Each new root's base step comes
 from next_step, the step rule serial-pac shares.
 
 Results are deterministic: a corrector task writes only its own node,
@@ -275,15 +276,19 @@ def start_point(
         raise BootstrapError(f"initial point: {exc}") from exc
 
 
-def bootstrap(problem: ProblemDefinition, params: RunParams, z0: Array) -> Array:
-    """The unit traversal direction from the accepted start z0.
+def bootstrap(
+    problem: ProblemDefinition, params: RunParams, z0: Array, r0: float
+) -> TreeNode:
+    """The run's first root: the accepted start z0, whose residual norm is r0.
 
     A neighbor point is computed by corrector iterations constrained to the
     hyperplane where the continuation parameter is shifted by
     delta_lambda (the corrector direction is the parameter axis, which
-    reduces to a Newton solve in the state variables).  The unit secant
-    between the two points is returned oriented so the parameter
+    reduces to a Newton solve in the state variables).  The root is GREEN
+    at z0, with z_init equal to zeta, so it seeds along its t_init: the
+    unit secant between the two points, oriented so the parameter
     component is positive when h_init is positive and negative otherwise.
+    Its seed and base steps are |h_init|.
     """
     axis = np.zeros(problem.n_dim)
     axis[problem.lambda_index] = 1.0
@@ -297,20 +302,10 @@ def bootstrap(problem: ProblemDefinition, params: RunParams, z0: Array) -> Array
         raise BootstrapError("bootstrap secant is degenerate")
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
         direction = -direction
-    return direction
-
-
-def make_root(
-    z0: Array, r0: float, direction: Array, params: RunParams
-) -> TreeNode:
-    """Tree root for a fresh run at the start z0, whose residual norm is r0.
-
-    z_init is zeta, so it seeds along direction.
-    """
     return TreeNode(
         zeta=z0.copy(),
         z_init=z0.copy(),
-        t_init=np.asarray(direction, dtype=float).copy(),
+        t_init=direction,
         h_init=abs(params.h_init),
         h_base=abs(params.h_init),
         color=Color.GREEN,
@@ -318,18 +313,20 @@ def make_root(
     )
 
 
-def spawn_round(root: TreeNode, params: RunParams, budget: int) -> int:
-    """Seed predictor children at every eligible leaf.
+def spawn_round(root: TreeNode, params: RunParams) -> int:
+    """Seed predictor children at every eligible leaf, within the budget.
 
+    The budget is the worker budget less the unfinished nodes already in
+    the tree, so a tree whose RED and YELLOW nodes fill it spawns nothing.
     Leaves are visited breadth first; only leaves above the depth cap
     spawn.  Each leaf seeds one child per scaling (tree.seed), in
     ascending scaling order, from its current iterate along its
     secant_direction: one rule for every leaf, the root included.
     Children whose step magnitude would exceed h_max are skipped.
-    Spawning stops when the budget is exhausted.  Returns the number of
-    children created.  A child's residual is evaluated in its first
-    corrector round, not here.
+    Returns the number of children created.  A child's residual is
+    evaluated in its first corrector round, not here.
     """
+    budget = params.worker_budget - len(unfinished_nodes(root))
     spawned = 0
     for leaf, depth in breadth_first_leaves(root):
         if spawned >= budget:
@@ -411,17 +408,18 @@ def run_continuation(
 ) -> ContinuationResult:
     """Trace the curve with the speculative tree until a stop condition.
 
-    Each round: spawn within the free worker budget, apply one corrector
-    iteration to all unfinished nodes, write the tree snapshot to dot_dir
-    when one is given, prune, advance the root; the BLACK nodes prune
-    drops are the run's failures.  Stops by stop_reason on the root's
-    point, its base step and the rounds executed, or when a round can
-    change nothing.  Each point goes through emit_point once, when it is
-    accepted: the start before bootstrap, so a run that fails there has
-    emitted exactly its start, and every later point when it becomes the
-    root; nothing is emitted at termination.  n_workers threads, the
-    calling one included, serve each corrector round, and BLAS runs on
-    one thread throughout (see blas).
+    bootstrap builds the first root at the accepted start.  Each round:
+    spawn within the worker budget the unfinished nodes leave free (see
+    spawn_round), apply one corrector iteration to all unfinished nodes,
+    write the tree snapshot to dot_dir when one is given, prune, advance
+    the root; the BLACK nodes prune drops are the run's failures.  Stops by
+    stop_reason on the root's point, its base step and the rounds
+    executed, or when a round can change nothing.  Each point goes through
+    emit_point once, when it is accepted: the start before bootstrap, so a
+    run that fails there has emitted exactly its start, and every later
+    point when it becomes the root; nothing is emitted at
+    termination.  n_workers threads, the calling one included, serve each
+    corrector round, and BLAS runs on one thread throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 
@@ -433,7 +431,7 @@ def run_continuation(
     failures = 0
     with WorkerPool(n_workers) as pool:
         z0, r0 = start_point(problem, params, initial_point, accepted, sink)
-        root = make_root(z0, r0, bootstrap(problem, params, z0), params)
+        root = bootstrap(problem, params, z0, r0)
         try:
             while True:
                 reason = stop_reason(
@@ -441,8 +439,7 @@ def run_continuation(
                 )
                 if reason is not None:
                     break
-                free = params.worker_budget - len(unfinished_nodes(root))
-                spawned = spawn_round(root, params, free)
+                spawned = spawn_round(root, params)
                 steps = corrector_round(root, problem, params, pool)
                 steps_total += steps
                 rounds += 1

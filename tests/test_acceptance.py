@@ -39,7 +39,6 @@ from arctree.tree import (
     choose_best_path,
     compute_paths,
     count_nodes,
-    iter_nodes,
     prune_tree,
 )
 from conftest import build_prune_fixture, make_node, make_params
@@ -354,10 +353,7 @@ def test_criterion_8c_dot_snapshot_of_full_tree(tmp_path):
     root = started_root(problem, params, np.zeros(2))
     pool = WorkerPool(1)
     for _ in range(2):
-        active = sum(
-            1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
-        )
-        spawn_round(root, params, params.worker_budget - active)
+        spawn_round(root, params)
         corrector_round(root, problem, params, pool)
     assert count_nodes(root) == 13
 

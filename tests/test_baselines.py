@@ -146,7 +146,7 @@ def test_serial_seeds_along_its_last_direction_when_the_secant_is_degenerate(
 
     problem = replace(circle, corrector=corrector)
     params = make_params(round_limit=5)
-    direction = bootstrap(problem, params, Z0)
+    direction = bootstrap(problem, params, Z0, 0.0).t_init
     seeds = []
     correct = baselines.correct
 

@@ -30,7 +30,6 @@ from arctree.engine import (
     bootstrap,
     correct,
     corrector_round,
-    make_root,
     next_step,
     spawn_round,
     start_point,
@@ -71,9 +70,9 @@ def slow_problem() -> ProblemDefinition:
 
 
 def started_root(problem, params, z0):
-    """A fresh run's root: the accepted start, oriented by bootstrap."""
+    """A fresh run's root: the accepted start, built by bootstrap."""
     z, r = start_point(problem, params, z0, [], None)
-    return make_root(z, r, bootstrap(problem, params, z), params)
+    return bootstrap(problem, params, z, r)
 
 
 def slow_params(**overrides):
@@ -98,17 +97,24 @@ def test_bootstrap_secant_oracle():
     assert z == pytest.approx(Z0)
     assert [(p.z, p.residual_norm) for p in accepted] == [(pytest.approx(z), r)]
     assert accepted[0].z is not z
-    direction = bootstrap(circle_problem(), params, z)
+    root = bootstrap(circle_problem(), params, z, r)
     secant = np.array([np.sqrt(1 - 0.0025) - 1.0, 0.05])
     expected = secant / np.linalg.norm(secant)
-    assert direction == pytest.approx(expected, abs=1e-8)
-    assert direction[1] > 0
+    assert root.t_init == pytest.approx(expected, abs=1e-8)
+    assert root.t_init[1] > 0
+    # The root is GREEN at the start, seeds from it and steps |h_init|.
+    assert root.color is Color.GREEN
+    assert np.array_equal(root.zeta, z) and np.array_equal(root.z_init, z)
+    assert root.zeta is not z and root.z_init is not z
+    assert root.h_init == root.h_base == abs(params.h_init)
+    assert root.nu == 0 and root.residual_norm_current == r
 
 
 def test_bootstrap_orientation_follows_step_sign():
     params = make_params(delta_lambda=0.05, h_init=-0.1)
-    direction = bootstrap(circle_problem(), params, Z0)
-    assert direction[1] < 0
+    root = bootstrap(circle_problem(), params, Z0, 0.0)
+    assert root.t_init[1] < 0
+    assert root.h_init == root.h_base == 0.1
 
 
 def test_bootstrap_rejects_unconverged_start():
@@ -127,14 +133,14 @@ def test_bootstrap_rejects_a_degenerate_secant():
     # floor, so no direction can be taken from it.
     params = make_params(delta_lambda=1e-15)
     with pytest.raises(BootstrapError, match="bootstrap secant is degenerate"):
-        bootstrap(circle_problem(), params, Z0)
+        bootstrap(circle_problem(), params, Z0, 0.0)
 
 
 def test_bootstrap_reports_neighbor_failure():
     # One iteration cannot reach 1e-10 from a 0.3 parameter shift.
     params = make_params(delta_lambda=0.3, max_iter=1)
     with pytest.raises(BootstrapError):
-        bootstrap(circle_problem(), params, Z0)
+        bootstrap(circle_problem(), params, Z0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +152,7 @@ def test_spawn_round_seeds_children_in_scaling_order():
     problem = slow_problem()
     params = slow_params()
     root = started_root(problem, params, np.zeros(2))
-    spawned = spawn_round(root, params, budget=12)
+    spawned = spawn_round(root, params)
     assert spawned == 3
     steps = [child.h_init for child in root.children]
     assert steps == sorted(steps)
@@ -162,13 +168,14 @@ def test_spawn_round_seeds_children_in_scaling_order():
 
 
 def test_spawn_round_respects_budget():
+    # The root's first two scalings fill a budget of 2; a tree whose
+    # unfinished nodes already fill the budget spawns nothing.
     problem = slow_problem()
-    params = slow_params()
+    params = slow_params(worker_budget=2)
     root = started_root(problem, params, np.zeros(2))
-    assert spawn_round(root, params, budget=2) == 2
+    assert spawn_round(root, params) == 2
     assert len(root.children) == 2
-    assert spawn_round(root, params, budget=0) == 0
-    assert spawn_round(root, params, budget=-1) == 0
+    assert spawn_round(root, params) == 0
     assert len(root.children) == 2
 
 
@@ -176,7 +183,7 @@ def test_spawn_round_skips_steps_above_h_max():
     problem = slow_problem()
     params = slow_params(h_init=0.2, h_max=0.25)  # scaling 2 gives 0.4
     root = started_root(problem, params, np.zeros(2))
-    assert spawn_round(root, params, budget=12) == 2
+    assert spawn_round(root, params) == 2
     assert [c.h_init for c in root.children] == pytest.approx([0.15, 0.2])
 
 
@@ -184,9 +191,9 @@ def test_spawn_round_respects_depth_cap():
     problem = slow_problem()
     params = slow_params(max_depth=1)
     root = started_root(problem, params, np.zeros(2))
-    spawn_round(root, params, budget=12)
+    spawn_round(root, params)
     corrector_round(root, problem, params, WorkerPool(1))
-    assert spawn_round(root, params, budget=9) == 0
+    assert spawn_round(root, params) == 0
 
 
 def test_tree_growth_matches_budget_12_shape():
@@ -201,19 +208,16 @@ def test_tree_growth_matches_budget_12_shape():
     active = lambda: sum(
         1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
     )
-    free = params.worker_budget - active()
-    assert spawn_round(root, params, free) == 3
-    assert active() <= params.worker_budget
+    assert spawn_round(root, params) == 3
+    assert active() == 3
     corrector_round(root, problem, params, pool)
 
-    free = params.worker_budget - active()
-    assert free == 9
-    assert spawn_round(root, params, free) == 9
+    assert spawn_round(root, params) == 9
     assert count_nodes(root) == 13
     assert active() == params.worker_budget
     corrector_round(root, problem, params, pool)
 
-    assert spawn_round(root, params, params.worker_budget - active()) == 0
+    assert spawn_round(root, params) == 0
     assert count_nodes(root) == 13
 
 
@@ -226,7 +230,7 @@ def test_corrector_round_steps_only_unfinished_nodes():
     problem = slow_problem()
     params = slow_params()
     root = started_root(problem, params, np.zeros(2))
-    spawn_round(root, params, budget=12)
+    spawn_round(root, params)
     green_zeta = root.zeta.copy()
     stepped = corrector_round(root, problem, params, WorkerPool(1))
     assert stepped == 3
@@ -294,7 +298,7 @@ def test_non_finite_predictor_blackens_only_its_child():
     problem = nan_beyond_problem()
     params = slow_params()
     root = started_root(problem, params, np.zeros(2))
-    spawn_round(root, params, budget=12)
+    spawn_round(root, params)
     assert corrector_round(root, problem, params, WorkerPool(1)) == 2
     first, second, largest = root.children
     assert largest.color is Color.BLACK
@@ -318,9 +322,9 @@ def test_a_stale_residual_is_re_evaluated_into_the_norm_mu_compares():
     offset = [0.0]
     inner = slow_problem()
     problem = replace(inner, residual=lambda z: inner.residual(z) + offset[0])
-    params = slow_params()
+    params = slow_params(worker_budget=1)
     root = started_root(problem, params, np.zeros(2))
-    spawn_round(root, params, budget=1)
+    spawn_round(root, params)
     corrector_round(root, problem, params, WorkerPool(1))
     (child,) = root.children
     assert child.nu == 1 and child.color is Color.RED
@@ -881,4 +885,4 @@ def test_correct_counts_steps_up_to_a_non_finite_residual():
     assert point is None
     assert steps == 1
     with pytest.raises(BootstrapError):
-        bootstrap(problem, make_params(), np.zeros(2))
+        bootstrap(problem, make_params(), np.zeros(2), 0.0)

@@ -115,36 +115,57 @@ def test_residual_contraction_near_curve():
 
 
 def test_singular_bordered_matrix_fails():
-    problem = circle_problem()
-    # At the origin the Jacobian row vanishes; stacking it with the
-    # tangent leaves a singular 2x2 system.
-    with pytest.raises(CorrectorFailure):
-        bordered_newton_step(
-            problem,
-            np.zeros(2),
-            np.array([0.0, 1.0]),
-            np.zeros(2),
-            0.1,
-            problem.residual(np.zeros(2)),
-        )
-
-
-@pytest.mark.parametrize("where", ["jacobian", "inf-jacobian", "tangent"])
-def test_non_finite_bordered_system_fails(where):
-    inner = circle_problem()
-    jacobian = inner.jacobian
-    if where == "jacobian":
-        jacobian = lambda z: np.array([[np.nan, 2.0 * z[1]]])
-    if where == "inf-jacobian":
-        jacobian = lambda z: np.array([[np.inf, 2.0 * z[1]]])
-    problem = ProblemDefinition(
-        n_dim=2, lambda_index=1, residual=inner.residual, jacobian=jacobian
+    # At the origin the circle's Jacobian row vanishes; stacking it with
+    # the tangent leaves a singular 2x2 system.  Under the row [[1, 0]] the
+    # tangent (0, 1e-16) leaves a nonzero pivot below the relative threshold.
+    circle = circle_problem()
+    line = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([z[0]]),
+        jacobian=lambda z: np.array([[1.0, 0.0]]),
     )
-    tangent = np.array([np.nan if where == "tangent" else 0.0, 1.0])
+    for problem, tangent in [
+        (circle, np.array([0.0, 1.0])),
+        (line, np.array([0.0, 1e-16])),
+    ]:
+        with pytest.raises(CorrectorFailure, match="singular"):
+            bordered_newton_step(
+                problem, np.zeros(2), tangent, np.zeros(2), 0.1,
+                problem.residual(np.zeros(2)),
+            )
+
+
+# Each input puts a NaN or an infinity into the bordered system at the
+# predictor (1, 0.1), whose Jacobian row is [[2, 0.2]].  An infinite pivot
+# alone solves to a finite update, so only the pivot test catches it.
+NON_FINITE = {
+    "jacobian": dict(jacobian=[[np.nan, 0.2]]),
+    "inf-jacobian": dict(jacobian=[[np.inf, 0.2]]),
+    "tangent": dict(tangent=[np.nan, 1.0]),
+    "inf-pivot": dict(jacobian=[[np.inf, 0.0]]),
+    "inf-off-pivot": dict(jacobian=[[1.0, np.inf]]),
+    "nan-gap": dict(z_base=[np.nan, 0.0]),
+    "inf-h": dict(h=np.inf),
+}
+
+
+@pytest.mark.parametrize("where", list(NON_FINITE))
+def test_non_finite_bordered_system_fails(where):
+    case = dict(
+        jacobian=[[2.0, 0.2]], tangent=[0.0, 1.0], z_base=[1.0, 0.0], h=0.1
+    )
+    case.update(NON_FINITE[where])
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=circle_problem().residual,
+        jacobian=lambda z: np.array(case["jacobian"]),
+    )
     with pytest.raises(CorrectorFailure):
         bordered_newton_step(
-            problem, np.array([1.0, 0.1]), tangent, np.array([1.0, 0.0]), 0.1,
-            np.array([0.01]),
+            problem, np.array([1.0, 0.1]), np.array(case["tangent"]),
+            np.array(case["z_base"]), case["h"], np.array([0.01]),
         )
 
 
@@ -171,7 +192,7 @@ def test_known_residual_is_used_in_place_of_an_evaluation():
 
 
 def test_an_overflowing_bordered_solve_fails():
-    # Both pivots pass the relative test (row scale 1), but the solve
+    # Both pivots pass the relative test (largest pivot 1), but the solve
     # for the constraint row divides h = 1e300 by 1e-13.
     problem = ProblemDefinition(
         n_dim=2,
