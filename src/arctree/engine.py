@@ -2,8 +2,8 @@
 
 The engine traces a solution curve by maintaining a rooted tree of
 speculative corrector sequences.  The root is the most recent accepted
-point: first the start, emitted by start_point before bootstrap finds
-the direction and builds the root there.  Each round it seeds predictor
+point: first the start record start_point emits, which bootstrap turns
+into the arclength root.  Each round it seeds predictor
 children at every leaf, within the depth cap and the worker budget less
 the unfinished nodes, applies one corrector iteration to every
 unfinished node concurrently, recolors, prunes, and advances the root
@@ -261,56 +261,51 @@ def start_point(
     initial_point: Array,
     accepted: list[CurvePoint],
     sink: Sink | None,
-) -> tuple[Array, float]:
-    """Accept the initial point through emit_point.
+) -> TreeNode:
+    """Accept the initial point through emit_point; return the start record.
 
-    Returns the start as an array of the caller's own, which the sink
-    never sees, and its residual norm.  A start that fails the check is
-    not recorded and raises BootstrapError, naming the initial point and
-    its residual.
+    The record is GREEN at a copy of the initial point that neither the
+    caller nor the sink holds (z_init is zeta), with the emitted norm, and
+    seeds along the unit parameter axis with steps delta_lambda.  A start
+    that fails the check is not recorded and raises BootstrapError,
+    naming the initial point and its residual.
     """
     z = np.array(initial_point, dtype=float)
     try:
-        return z, emit_point(problem, params, z, accepted, sink)
+        r = emit_point(problem, params, z, accepted, sink)
     except EvaluationError as exc:
         raise BootstrapError(f"initial point: {exc}") from exc
+    axis = np.zeros(problem.n_dim)
+    axis[problem.lambda_index] = 1.0
+    h = params.delta_lambda
+    return TreeNode(z, z, axis, h, h, color=Color.GREEN, residual_norm_current=r)
 
 
 def bootstrap(
-    problem: ProblemDefinition, params: RunParams, z0: Array, r0: float
+    problem: ProblemDefinition, params: RunParams, start: TreeNode
 ) -> TreeNode:
-    """The run's first root: the accepted start z0, whose residual norm is r0.
+    """Turn the start record into the run's first arclength root, in place.
 
-    A neighbor point is computed by corrector iterations constrained to the
-    hyperplane where the continuation parameter is shifted by
-    delta_lambda (the corrector direction is the parameter axis, which
-    reduces to a Newton solve in the state variables).  The root is GREEN
-    at z0, with z_init equal to zeta, so it seeds along its t_init: the
-    unit secant between the two points, oriented so the parameter
-    component is positive when h_init is positive and negative otherwise.
-    Its seed and base steps are |h_init|.
+    A neighbor point is corrected from the start along its seed direction,
+    the parameter axis, with its base step delta_lambda: a Newton solve in
+    the state variables at a fixed parameter shift.  The start keeps its
+    point and norm; its t_init becomes the unit secant between the two
+    points, oriented so the parameter component has the sign of h_init,
+    and its seed and base steps become |h_init|.  Returns the start.
     """
-    axis = np.zeros(problem.n_dim)
-    axis[problem.lambda_index] = 1.0
-    neighbor, _ = correct(problem, z0, axis, params.delta_lambda, params)
+    neighbor, _ = correct(problem, start.zeta, start.t_init, start.h_base, params)
     if neighbor is None:
         raise BootstrapError(
             "neighbor point did not converge within MAX_ITER iterations"
         )
-    direction = unit_secant(z0, neighbor.zeta)
+    direction = unit_secant(start.zeta, neighbor.zeta)
     if direction is None:
         raise BootstrapError("bootstrap secant is degenerate")
     if (direction[problem.lambda_index] > 0.0) != (params.h_init > 0.0):
         direction = -direction
-    return TreeNode(
-        zeta=z0.copy(),
-        z_init=z0.copy(),
-        t_init=direction,
-        h_init=abs(params.h_init),
-        h_base=abs(params.h_init),
-        color=Color.GREEN,
-        residual_norm_current=r0,
-    )
+    start.t_init = direction
+    start.h_init = start.h_base = abs(params.h_init)
+    return start
 
 
 def spawn_round(root: TreeNode, params: RunParams) -> int:
@@ -408,7 +403,7 @@ def run_continuation(
 ) -> ContinuationResult:
     """Trace the curve with the speculative tree until a stop condition.
 
-    bootstrap builds the first root at the accepted start.  Each round:
+    bootstrap turns the start record into the first root.  Each round:
     spawn within the worker budget the unfinished nodes leave free (see
     spawn_round), apply one corrector iteration to all unfinished nodes,
     write the tree snapshot to dot_dir when one is given, prune, advance
@@ -430,8 +425,8 @@ def run_continuation(
     steps_total = 0
     failures = 0
     with WorkerPool(n_workers) as pool:
-        z0, r0 = start_point(problem, params, initial_point, accepted, sink)
-        root = bootstrap(problem, params, z0, r0)
+        start = start_point(problem, params, initial_point, accepted, sink)
+        root = bootstrap(problem, params, start)
         try:
             while True:
                 reason = stop_reason(

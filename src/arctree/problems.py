@@ -66,7 +66,8 @@ class KsOperators(NamedTuple):
     d1, d2 and d4 are the planes of one (3, n, n) array, which rows views
     as (3n, n) (rows @ w stacks D1 w, D2 w and D4 w) and flat as
     (3, n * n) ([a, b, c] @ flat is a D1 + b D2 + c D4, flattened).
-    modes (U) and modes_t (U^T) span what dealias removes.
+    modes (U) spans what dealias removes (dealias is I - U U^T); the
+    Jacobian takes U^T as the view modes.T.
     """
 
     d1: Array
@@ -76,7 +77,6 @@ class KsOperators(NamedTuple):
     flat: Array
     dealias: Array
     modes: Array
-    modes_t: Array
 
 
 @lru_cache(maxsize=8)
@@ -115,14 +115,13 @@ def ks_operators(n: int) -> KsOperators:
     modes[:, high.size : 2 * high.size] = np.sin(kx)
     modes[:, : 2 * high.size] *= np.sqrt(2.0 / n)
     modes[:, -1] = np.sqrt(1.0 / n) * (-1.0) ** np.arange(n)
-    modes_t = np.ascontiguousarray(modes.T)
 
     # Cached and shared by every later call: never to be written.  Views
     # taken of the read-only arrays are read-only too.
-    for op in (derivatives, dealias, modes, modes_t):
+    for op in (derivatives, dealias, modes):
         op.setflags(write=False)
     rows, flat = derivatives.reshape(3 * n, n), derivatives.reshape(3, n * n)
-    return KsOperators(*derivatives, rows, flat, dealias, modes, modes_t)
+    return KsOperators(*derivatives, rows, flat, dealias, modes)
 
 
 def grid(n: int) -> Array:
@@ -233,7 +232,7 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     # dealias @ quad = quad - U @ (U^T @ quad), U the removed modes.
     out = np.empty((n + 1, n + 2))
     j_ww = out[:n, :n]
-    np.subtract(linear, np.dot(ops.modes, np.dot(ops.modes_t, quad)), out=j_ww)
+    np.subtract(linear, np.dot(ops.modes, np.dot(ops.modes.T, quad)), out=j_ww)
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     out[:n, n + 1] = d4w

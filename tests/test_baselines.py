@@ -15,11 +15,12 @@ from arctree import (
     load_ks_fixture,
     natural_continuation,
     parse_parameters,
+    read_initial_point,
     run_continuation,
     serial_pac,
 )
 from arctree import baselines
-from arctree.engine import bootstrap
+from arctree.engine import bootstrap, start_point
 from arctree.problem import bordered_newton_step
 from conftest import make_params
 
@@ -50,6 +51,38 @@ def test_natural_walks_a_fold_free_branch():
     assert [p.z[0] for p in trace.accepted_points] == pytest.approx(lams)
     assert trace.failures == 0
     assert trace.corrector_steps_total == 4
+
+
+def test_natural_marches_its_last_record_along_the_parameter_axis(monkeypatch):
+    # Every attempt of the packaged circle run starts at the last accepted
+    # point, along the parameter axis, with a step that halves after each
+    # failure and holds after each success.
+    params = parse_parameters(data_path("circle.params"))
+    z0 = read_initial_point(data_path("circle_start.txt"))
+    attempts = []
+    correct = baselines.correct
+
+    def spy(problem, z_base, tangent, h, params):
+        node, taken = correct(problem, z_base, tangent, h, params)
+        attempts.append((z_base.copy(), tangent.copy(), h, node is not None))
+        return node, taken
+
+    monkeypatch.setattr(baselines, "correct", spy)
+    trace = natural_continuation(circle_problem(), params, z0)
+    assert trace.termination_reason is TerminationReason.STEP_UNDERFLOW
+    assert (len(trace.accepted_points), trace.corrector_steps_total) == (117, 468)
+    assert trace.failures == 24
+    assert len(attempts) == 116 + 24
+    axis = np.eye(2)[params.lambda_index]
+    accepted = 0
+    h = params.delta_lambda
+    for z_base, tangent, step, converged in attempts:
+        assert np.array_equal(z_base, trace.accepted_points[accepted].z)
+        assert np.array_equal(tangent, axis)
+        assert step == h
+        accepted += converged
+        h = step if converged else 0.5 * step
+    assert accepted == 116
 
 
 def test_natural_rejects_unconverged_start():
@@ -146,7 +179,8 @@ def test_serial_seeds_along_its_last_direction_when_the_secant_is_degenerate(
 
     problem = replace(circle, corrector=corrector)
     params = make_params(round_limit=5)
-    direction = bootstrap(problem, params, Z0, 0.0).t_init
+    start = start_point(problem, params, Z0, [], None)
+    direction = bootstrap(problem, params, start).t_init
     seeds = []
     correct = baselines.correct
 

@@ -69,10 +69,14 @@ def slow_problem() -> ProblemDefinition:
     )
 
 
+def start_record(problem, params, z0):
+    """A fresh run's start record, its emitted point discarded."""
+    return start_point(problem, params, z0, [], None)
+
+
 def started_root(problem, params, z0):
-    """A fresh run's root: the accepted start, built by bootstrap."""
-    z, r = start_point(problem, params, z0, [], None)
-    return bootstrap(problem, params, z, r)
+    """A fresh run's root: the start record, turned by bootstrap."""
+    return bootstrap(problem, params, start_record(problem, params, z0))
 
 
 def slow_params(**overrides):
@@ -93,26 +97,42 @@ def test_bootstrap_secant_oracle():
     # secant from (1, 0) is (-0.0250078..., +0.9996872...).
     params = make_params(delta_lambda=0.05)
     accepted = []
-    z, r = start_point(circle_problem(), params, Z0, accepted, None)
-    assert z == pytest.approx(Z0)
-    assert [(p.z, p.residual_norm) for p in accepted] == [(pytest.approx(z), r)]
-    assert accepted[0].z is not z
-    root = bootstrap(circle_problem(), params, z, r)
+    start = start_point(circle_problem(), params, Z0, accepted, None)
+    z, r = start.zeta, start.residual_norm_current
+    root = bootstrap(circle_problem(), params, start)
+    assert root is start and len(accepted) == 1
     secant = np.array([np.sqrt(1 - 0.0025) - 1.0, 0.05])
     expected = secant / np.linalg.norm(secant)
     assert root.t_init == pytest.approx(expected, abs=1e-8)
     assert root.t_init[1] > 0
-    # The root is GREEN at the start, seeds from it and steps |h_init|.
+    # The root keeps the start's point, norm and colour; only its seed
+    # direction and both steps change, to |h_init|.
     assert root.color is Color.GREEN
-    assert np.array_equal(root.zeta, z) and np.array_equal(root.z_init, z)
-    assert root.zeta is not z and root.z_init is not z
+    assert root.zeta is z and root.z_init is z and np.array_equal(z, Z0)
     assert root.h_init == root.h_base == abs(params.h_init)
     assert root.nu == 0 and root.residual_norm_current == r
 
 
+def test_start_point_is_a_green_record_on_the_parameter_axis():
+    params = make_params(delta_lambda=0.05)
+    initial = np.array([1.0 + 1e-12, 0.0])
+    accepted = []
+    start = start_point(circle_problem(), params, initial, accepted, None)
+    assert start.color is Color.GREEN
+    assert start.zeta is start.z_init
+    assert start.zeta is not initial and accepted[0].z is not start.zeta
+    assert np.array_equal(start.zeta, initial)
+    initial[0] = 0.5
+    assert start.zeta[0] == 1.0 + 1e-12
+    assert np.array_equal(start.t_init, [0.0, 1.0])
+    assert start.h_init == start.h_base == params.delta_lambda
+    assert start.residual_norm_current == accepted[0].residual_norm > 0.0
+    assert start.nu == 0 and start.children == []
+
+
 def test_bootstrap_orientation_follows_step_sign():
     params = make_params(delta_lambda=0.05, h_init=-0.1)
-    root = bootstrap(circle_problem(), params, Z0, 0.0)
+    root = started_root(circle_problem(), params, Z0)
     assert root.t_init[1] < 0
     assert root.h_init == root.h_base == 0.1
 
@@ -132,15 +152,17 @@ def test_bootstrap_rejects_a_degenerate_secant():
     # A parameter shift of 1e-15 moves the neighbor less than the secant
     # floor, so no direction can be taken from it.
     params = make_params(delta_lambda=1e-15)
+    start = start_record(circle_problem(), params, Z0)
     with pytest.raises(BootstrapError, match="bootstrap secant is degenerate"):
-        bootstrap(circle_problem(), params, Z0, 0.0)
+        bootstrap(circle_problem(), params, start)
 
 
 def test_bootstrap_reports_neighbor_failure():
     # One iteration cannot reach 1e-10 from a 0.3 parameter shift.
     params = make_params(delta_lambda=0.3, max_iter=1)
-    with pytest.raises(BootstrapError):
-        bootstrap(circle_problem(), params, Z0, 0.0)
+    start = start_record(circle_problem(), params, Z0)
+    with pytest.raises(BootstrapError, match="neighbor point did not converge"):
+        bootstrap(circle_problem(), params, start)
 
 
 # ---------------------------------------------------------------------------
@@ -885,4 +907,4 @@ def test_correct_counts_steps_up_to_a_non_finite_residual():
     assert point is None
     assert steps == 1
     with pytest.raises(BootstrapError):
-        bootstrap(problem, make_params(), np.zeros(2), 0.0)
+        started_root(problem, make_params(), np.zeros(2))
