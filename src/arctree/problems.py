@@ -66,8 +66,7 @@ class KsOperators(NamedTuple):
     d1, d2 and d4 are the planes of one (3, n, n) array, which rows views
     as (3n, n) (rows @ w stacks D1 w, D2 w and D4 w) and flat as
     (3, n * n) ([a, b, c] @ flat is a D1 + b D2 + c D4, flattened).
-    modes (U) spans what dealias removes (dealias is I - U U^T); the
-    Jacobian takes U^T as the view modes.T.
+    d1_dealiased is D1 with every mode above n // 3 zeroed.
     """
 
     d1: Array
@@ -75,8 +74,7 @@ class KsOperators(NamedTuple):
     d4: Array
     rows: Array
     flat: Array
-    dealias: Array
-    modes: Array
+    d1_dealiased: Array
 
 
 @lru_cache(maxsize=8)
@@ -85,12 +83,9 @@ def ks_operators(n: int) -> KsOperators:
 
     Column j of D_p is the p-th spectral derivative of a unit impulse at
     grid point j.  The Nyquist mode is zeroed for odd derivative orders
-    (it carries no usable sign information on a real grid).  dealias
-    zeroes every mode above n // 3, the classic two-thirds rule for a
-    quadratic nonlinearity.  For even n it is I - U U^T, where the
-    columns of U are sqrt(2/n) cos(k x) and sqrt(2/n) sin(k x) for
-    n // 3 < k < n / 2 and the Nyquist mode sqrt(1/n) (-1)^j: 43 columns
-    at n = 128, so dealias @ A is two thin products, A - U @ (U^T @ A).
+    (it carries no usable sign information on a real grid).
+    d1_dealiased also zeroes every mode above n // 3, the classic
+    two-thirds rule for a quadratic nonlinearity.
     """
     eye = np.eye(n)
     spec = np.fft.rfft(eye, axis=0)
@@ -105,23 +100,14 @@ def ks_operators(n: int) -> KsOperators:
     derivatives = np.empty((3, n, n))
     for plane, mult in zip(derivatives, (d1_mult, -(k**2) + 0j, k**4 + 0j)):
         plane[...] = back(mult)
-    mask = (k <= n // 3).astype(float) + 0j
-    dealias = back(mask)
-
-    high = np.arange(n // 3 + 1, n // 2)
-    kx = np.outer(grid(n), high)
-    modes = np.empty((n, 2 * high.size + 1))
-    modes[:, : high.size] = np.cos(kx)
-    modes[:, high.size : 2 * high.size] = np.sin(kx)
-    modes[:, : 2 * high.size] *= np.sqrt(2.0 / n)
-    modes[:, -1] = np.sqrt(1.0 / n) * (-1.0) ** np.arange(n)
+    d1_dealiased = back(d1_mult * (k <= n // 3))
 
     # Cached and shared by every later call: never to be written.  Views
     # taken of the read-only arrays are read-only too.
-    for op in (derivatives, dealias, modes):
+    for op in (derivatives, d1_dealiased):
         op.setflags(write=False)
     rows, flat = derivatives.reshape(3 * n, n), derivatives.reshape(3, n * n)
-    return KsOperators(*derivatives, rows, flat, dealias, modes)
+    return KsOperators(*derivatives, rows, flat, d1_dealiased)
 
 
 def grid(n: int) -> Array:
@@ -161,12 +147,12 @@ class KsConfig:
 def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Array:
     """PDE rows on the grid plus one phase-pinning row.
 
-    The quadratic term w * w' is formed pointwise and then dealiased;
-    all derivatives are spectral.  The phase row is the inner product of
-    (w - w_ref) with w_ref', scaled by 1/n so its magnitude is
-    grid-size independent.  w_ref is the profile of the base point
-    z_base, or of z itself when no base is given; anchored at z, the
-    row is exactly 0.0.
+    The quadratic term w w' is taken in conservative form, (1/2) (w^2)',
+    through the dealiased first derivative; all derivatives are
+    spectral.  The phase row is the inner product of (w - w_ref) with
+    w_ref', scaled by 1/n so its magnitude is grid-size independent.
+    w_ref is the profile of the base point z_base, or of z itself when
+    no base is given; anchored at z, the row is exactly 0.0.
     """
     n = config.n_grid
     ops = ks_operators(n)
@@ -182,10 +168,9 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     out = np.empty(n + 1)
     pde = out[:n]
     # The terms are summed in the order
-    #   -c D1 w + dealias (w D1 w) + D2 w + lam D4 w - A sin(w),
-    # the first addition with its operands swapped, which IEEE addition
-    # allows without changing a bit.
-    np.dot(ops.dealias, w * d1w, out=pde)
+    #   (1/2) d1_dealiased (w w) - c D1 w + D2 w + lam D4 w - A sin(w).
+    np.dot(ops.d1_dealiased, w * w, out=pde)
+    pde *= 0.5
     d1w *= -c
     pde += d1w
     pde += d2w
@@ -207,12 +192,11 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     The matrix is dense because of the sin(w) term.  Columns are ordered
     (w, c, lambda) to match the state layout.  The state block is
 
-        -c D1 + dealias (diag(D1 w) + diag(w) D1) + D2 + lam D4
-            - A diag(cos w),
+        -c D1 + D2 + lam D4 + d1_dealiased diag(w) - A diag(cos w),
 
-    built with two thin products through the modes the dealias projector
-    removes and one by the flattened derivative operators (see
-    KsOperators).
+    the first three terms one product by the flattened derivative
+    operators (see KsOperators), the fourth d1_dealiased with its
+    columns scaled.
     """
     n = config.n_grid
     ops = ks_operators(n)
@@ -223,16 +207,11 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     # Every product goes through np.dot, which releases the GIL.
     derivs = np.dot(ops.rows, w)
     d1w, d4w = derivs[:n], derivs[2 * n :]
-    # Diagonals are written through strided views of the flat buffers:
-    # every (n + 1)-th entry of quad, every (n + 3)-th of out.
-    quad = ops.d1 * w[:, None]
-    quad.reshape(-1)[:: n + 1] += d1w
-    linear = np.dot(np.array([-c, 1.0, lam]), ops.flat).reshape(n, n)
-    linear += quad
-    # dealias @ quad = quad - U @ (U^T @ quad), U the removed modes.
     out = np.empty((n + 1, n + 2))
     j_ww = out[:n, :n]
-    np.subtract(linear, np.dot(ops.modes, np.dot(ops.modes.T, quad)), out=j_ww)
+    np.multiply(ops.d1_dealiased, w, out=j_ww)
+    j_ww += np.dot(np.array([-c, 1.0, lam]), ops.flat).reshape(n, n)
+    # The diagonal, every (n + 3)-th entry of the flat buffer.
     out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
     np.negative(d1w, out=out[:n, n])
     out[:n, n + 1] = d4w

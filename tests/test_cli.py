@@ -71,35 +71,51 @@ SUMMARY = re.compile(
 )
 
 
+# ks128-tree's inputs; given after the circle's, these options win.
+KS128_TREE = (
+    "--problem", "ks",
+    "--params", str(data_path("ks_n128.params")),
+    "--initial-point", str(data_path("ks_start_n128.txt")),
+    "--budget", "12",
+)
+
+
 # Each packaged circle run's exact line pins its counts, so a change that
-# moves a count fails here.
+# moves a count fails here; so does ks128-tree's, whose counts survive a
+# one-ulp nudge of its start (tests/test_ks.py).
 @pytest.mark.parametrize(
-    "algo,rounds,failures,line",
+    "algo,extra,rounds,failures,line",
     [
         pytest.param(
-            "pampac", True, "nodes",
+            "pampac", (), True, "nodes",
             "24 points, 36 rounds, 149 corrector steps, 0 failed nodes: "
             "REACHED_LAMBDA_MAX",
             id="pampac-True-nodes",
         ),
         pytest.param(
-            "serial-pac", False, "predictors",
+            "serial-pac", (), False, "predictors",
             "20 points, 57 corrector steps, 0 failed predictors: "
             "REACHED_LAMBDA_MAX",
             id="serial-pac-False-predictors",
         ),
         pytest.param(
-            "natural", False, "predictors",
+            "natural", (), False, "predictors",
             "117 points, 468 corrector steps, 24 failed predictors: "
             "STEP_UNDERFLOW",
             id="natural-False-predictors",
         ),
+        pytest.param(
+            "pampac", KS128_TREE, True, "nodes",
+            "76 points, 127 rounds, 1282 corrector steps, 158 failed nodes: "
+            "REACHED_LAMBDA_MAX",
+            id="ks128-tree",
+        ),
     ],
 )
 def test_summary_line_wording(
-    circle_args, tmp_path, capsys, algo, rounds, failures, line
+    circle_args, tmp_path, capsys, algo, extra, rounds, failures, line
 ):
-    main(circle_args(algo=algo))
+    main(circle_args(*extra, algo=algo))
     out = capsys.readouterr().out.strip()
     assert out.splitlines()[-1] == line
     match = SUMMARY.search(out)
