@@ -1,13 +1,5 @@
 """One BLAS thread while a continuation runs.
 
-The dense systems arctree solves are small (the packaged KS problem is
-130 columns wide), yet OpenBLAS splits every product and factorization
-of that size over all cores.  On a 2-core host a KS n=128 tree run then
-used twice its wall time in CPU, and its wall time moved by up to 30%
-from run to run as the second BLAS thread competed with other load for
-the second core.  With one BLAS thread the same run was about 10%
-faster, used half the CPU, varied by under 5% and wrote the same curve.
-
 numpy and scipy each load their own OpenBLAS from the ``<package>.libs``
 directory of their wheels.  ``one_blas_thread`` sets every such library
 to one thread and restores its count afterwards; the tree engine and
@@ -16,16 +8,21 @@ BLAS, another install layout), it changes nothing.  Runs that overlap
 on several threads share one hold, released when the last of them ends.
 
 The first hold in a process also raises glibc's heap trim threshold to
-HEAP_TRIM_THRESHOLD (``keep_freed_heap``).  A corrector step on a worker
-thread frees 128 KiB temporaries at the top of that thread's heap, and
-at glibc's default threshold each free hands the pages back to the
-kernel, so the next step faults them in again.  glibc raises that
-threshold by itself only after freeing a large block it had mapped
-separately, which importing scipy.linalg used to do as a side effect;
-without that import, a 2-worker KS n=128 tree run took about 60
-thousand minor page faults (some 50 per corrector step) and about 7%
-more CPU time on a 2-core host, against under 10 faults per run with
-the threshold set.  Where libc has no ``mallopt`` it changes nothing.
+HEAP_TRIM_THRESHOLD (``keep_freed_heap``), so that the temporaries a
+corrector step frees stay in the heap for the next step instead of
+going back to the kernel, to be faulted in again.  Where libc has no
+``mallopt`` it changes nothing.
+
+Both settings pay above the packaged n=128 grid, not on it (2-core host,
+KS runs from the packaged profile zero-padded by FFT; README has the
+figures).  At n=128 OpenBLAS does not split a step (a residual, the
+bordered LU and a whole step each ran at CPU/wall 1.00 with 2 BLAS
+threads allowed), and a run took the same minor page faults with or
+without the threshold.  At n=256, without the hold, 1 worker used twice
+its wall time in CPU and 2 workers ran about 1.8 times slower; without
+the threshold a run took about 50 thousand faults, against 0-1.  At
+n=512 on 1 worker, a run took 4.8-5.8 s without the hold and 2.2-2.5 s
+without the threshold, against 1.7-1.9 s.
 """
 
 from __future__ import annotations

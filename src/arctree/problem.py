@@ -133,6 +133,14 @@ class ProblemDefinition:
             raise ValueError("a problem needs a jacobian or a corrector")
 
 
+def _shaped(value: object, shape: tuple[int, ...], what: str) -> Array:
+    """value as a float array, or ValueError("<what> <shape>, expected <shape>")."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{what} {out.shape}, expected {shape}")
+    return out
+
+
 def evaluate_residual(
     problem: ProblemDefinition, z: Array, z_base: Array | None = None
 ) -> Array:
@@ -143,17 +151,11 @@ def evaluate_residual(
     output raises EvaluationError so callers can fail the affected
     corrector sequence instead of crashing.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (problem.n_dim,):
-        raise ValueError(
-            f"point has shape {z.shape}, expected ({problem.n_dim},)"
-        )
+    z = _shaped(z, (problem.n_dim,), "point has shape")
     base = (z if z_base is None else z_base,) if problem.anchored else ()
-    out = np.asarray(problem.residual(z, *base), dtype=float)
-    if out.shape != (problem.n_dim - 1,):
-        raise ValueError(
-            f"residual has shape {out.shape}, expected ({problem.n_dim - 1},)"
-        )
+    out = _shaped(
+        problem.residual(z, *base), (problem.n_dim - 1,), "residual has shape"
+    )
     if not np.isfinite(out).all():
         raise EvaluationError("residual contains non-finite entries")
     return out
@@ -216,11 +218,7 @@ def bordered_newton_step(
     zeta = np.asarray(zeta, dtype=float)
     n = problem.n_dim
     base = (z_base,) if problem.anchored else ()
-    jac = np.asarray(problem.jacobian(zeta, *base), dtype=float)
-    if jac.shape != (n - 1, n):
-        raise ValueError(
-            f"jacobian has shape {jac.shape}, expected ({n - 1}, {n})"
-        )
+    jac = _shaped(problem.jacobian(zeta, *base), (n - 1, n), "jacobian has shape")
     matrix = np.empty((n, n), order="F")
     matrix[:-1] = jac
     matrix[-1] = tangent
@@ -255,11 +253,10 @@ def corrector_step(
     """
     if problem.corrector is None:
         return bordered_newton_step(problem, zeta, tangent, z_base, h, f)
-    out = np.asarray(problem.corrector(zeta, tangent, z_base, h), dtype=float)
-    if out.shape != (problem.n_dim,):
-        raise ValueError(
-            f"corrector returned shape {out.shape}, expected ({problem.n_dim},)"
-        )
+    out = _shaped(
+        problem.corrector(zeta, tangent, z_base, h), (problem.n_dim,),
+        "corrector returned shape",
+    )
     if not np.all(np.isfinite(out)):
         raise CorrectorFailure("corrector returned non-finite iterate")
     return out

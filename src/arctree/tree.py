@@ -66,7 +66,7 @@ class TreeNode:
     is F(zeta) at base z_init, kept for the next corrector step, or None
     while the node is fresh; residual_norm_current is its norm (inf until
     first evaluated) and residual_norm_previous the norm the last step
-    started from, None exactly while nu == 0, both at the same base.
+    started from, inf exactly while nu == 0, both at the same base.
     """
 
     zeta: Array
@@ -78,7 +78,7 @@ class TreeNode:
     nu_init: int = 0
     color: Color = Color.RED
     residual_norm_current: float = math.inf
-    residual_norm_previous: float | None = None
+    residual_norm_previous: float = math.inf
     residual: Array | None = None
     children: list["TreeNode"] = field(default_factory=list)
 
@@ -125,7 +125,8 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
     exceeds max_iter + 1, so a node takes at most max_iter + 2 steps and
     a corrector that stalls just above tolerance cannot hold a node
     forever.  Before the first iteration only the iteration-cap part of
-    the divergence rule can apply, since there is no previous residual.
+    the divergence rule can apply: the previous residual is inf, and
+    r > mu * inf is False for every r, NaN included.
     """
     r = node.residual_norm_current
     if r <= params.tol_residual:
@@ -134,8 +135,7 @@ def assign_color(node: TreeNode, params: RunParams) -> Color:
         return Color.YELLOW if node.nu <= params.max_iter + 1 else Color.BLACK
     if node.nu > params.max_iter:
         return Color.BLACK
-    previous = node.residual_norm_previous
-    if previous is not None and r > params.mu * previous:
+    if r > params.mu * node.residual_norm_previous:
         return Color.BLACK
     return Color.RED
 

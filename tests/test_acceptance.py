@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arctree import (
+    KsConfig,
     TerminationReason,
     circle_problem,
     data_path,
@@ -31,6 +32,7 @@ from arctree import (
 )
 from arctree.cli import main as cli_main
 from arctree.engine import WorkerPool, corrector_round, spawn_round
+from arctree.problem import bordered_newton_step, evaluate_residual
 from arctree.problems import ks_jacobian, ks_residual
 from arctree.tree import (
     Color,
@@ -313,6 +315,50 @@ def test_criterion_7_worker_count_reproducibility(tmp_path):
     print(
         f"PASS criterion 7: 3-worker and 12-worker runs wrote "
         f"byte-identical curve.txt ({n_rows} rows)"
+    )
+
+
+def ks256_start(problem):
+    """The packaged n=128 start, zero-padded by FFT to 256 points and
+    polished by 4 bordered steps at fixed lambda, each anchored at its
+    own iterate (residual about 4e-7)."""
+    z128, _ = load_ks_fixture()
+    z = np.empty(258)
+    z[:256] = 2.0 * np.fft.irfft(np.fft.rfft(z128[:128]), n=256)
+    z[256:] = z128[128:]
+    fixed_lambda = np.zeros(258)
+    fixed_lambda[257] = 1.0
+    for _ in range(4):
+        f = evaluate_residual(problem, z, z)
+        z = bordered_newton_step(problem, z, fixed_lambda, z, 0.0, f)
+    return z
+
+
+def test_criterion_7_worker_counts_agree_at_n256():
+    # At n=128 worker threads barely overlap, so a race could hide there;
+    # at n=256 they do: on a 2-core host 2 workers ran this in 0.6-0.8 of
+    # 1 worker's wall time.
+    problem = ks_problem(KsConfig(n_grid=256))
+    z0 = ks256_start(problem)
+    params = replace(
+        ks_params(), n_dim=258, lambda_index=257, tol_residual=1e-6, round_limit=15
+    )
+    runs = {
+        workers: run_continuation(problem, params, z0, n_workers=workers)
+        for workers in (1, 2, 3)
+    }
+    one = runs[1]
+    assert len(one.accepted_points) > 2  # sequences from several bases
+    for run in runs.values():
+        assert [p.z.tobytes() for p in run.accepted_points] == [
+            p.z.tobytes() for p in one.accepted_points
+        ]
+        assert (run.rounds_executed, run.corrector_steps_total, run.failures) == (
+            one.rounds_executed, one.corrector_steps_total, one.failures
+        )
+    print(
+        f"PASS criterion 7: 1, 2 and 3 workers accepted the same "
+        f"{len(one.accepted_points)} points at n=256"
     )
 
 

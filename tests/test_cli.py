@@ -71,8 +71,8 @@ SUMMARY = re.compile(
 )
 
 
-# ks128-tree's inputs; given after the circle's, these options win.
-KS128_TREE = (
+# The KS n=128 workloads' inputs; given after the circle's, these options win.
+KS128 = (
     "--problem", "ks",
     "--params", str(data_path("ks_n128.params")),
     "--initial-point", str(data_path("ks_start_n128.txt")),
@@ -81,8 +81,8 @@ KS128_TREE = (
 
 
 # Each packaged circle run's exact line pins its counts, so a change that
-# moves a count fails here; so does ks128-tree's, whose counts survive a
-# one-ulp nudge of its start (tests/test_ks.py).
+# moves a count fails here; so do ks128-tree's and ks128-serial's, whose
+# counts survive a one-ulp nudge of their start (tests/test_ks.py).
 @pytest.mark.parametrize(
     "algo,extra,rounds,failures,line",
     [
@@ -105,10 +105,16 @@ KS128_TREE = (
             id="natural-False-predictors",
         ),
         pytest.param(
-            "pampac", KS128_TREE, True, "nodes",
+            "pampac", KS128, True, "nodes",
             "76 points, 127 rounds, 1282 corrector steps, 158 failed nodes: "
             "REACHED_LAMBDA_MAX",
             id="ks128-tree",
+        ),
+        pytest.param(
+            "serial-pac", KS128, False, "predictors",
+            "259 points, 794 corrector steps, 5 failed predictors: "
+            "REACHED_LAMBDA_MAX",
+            id="ks128-serial",
         ),
     ],
 )

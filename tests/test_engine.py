@@ -261,7 +261,7 @@ def test_corrector_round_steps_only_unfinished_nodes():
     for child in root.children:
         assert child.nu == 1
         assert child.color is Color.RED
-        assert child.residual_norm_previous is not None
+        assert np.isfinite(child.residual_norm_previous)
         assert child.residual_norm_current == pytest.approx(
             0.4 * child.residual_norm_previous
         )

@@ -364,14 +364,21 @@ def ks128_tree(z0, config):
     return run_continuation(ks_problem(config), params, z0)
 
 
-@pytest.mark.parametrize("nudged", [None, 5, 6, 7])
-def test_ks128_tree_counts_survive_a_one_ulp_nudge(nudged):
-    # A last-bit change in the start stands in for another CPU's BLAS: a
-    # count that such a change moves is rounding, not a property of the run.
+def nudged_ks_start(nudged):
+    """The packaged KS start, entry nudged (if not None) up by one ulp.
+
+    A last-bit change in the start stands in for another CPU's BLAS: a
+    count that such a change moves is rounding, not a property of the run.
+    """
     z0, config = load_ks_fixture()
     if nudged is not None:
         z0[nudged] = np.nextafter(z0[nudged], np.inf)
-    result = ks128_tree(z0, config)
+    return z0, config
+
+
+@pytest.mark.parametrize("nudged", [None, 5, 6, 7])
+def test_ks128_tree_counts_survive_a_one_ulp_nudge(nudged):
+    result = ks128_tree(*nudged_ks_start(nudged))
     assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     counts = (
         len(result.accepted_points),
@@ -380,6 +387,20 @@ def test_ks128_tree_counts_survive_a_one_ulp_nudge(nudged):
         result.failures,
     )
     assert counts == (76, 127, 1282, 158)
+
+
+@pytest.mark.parametrize("nudged", [None, 5, 6, 7])
+def test_ks128_serial_counts_survive_a_one_ulp_nudge(nudged):
+    z0, config = nudged_ks_start(nudged)
+    params = parse_parameters(data_path("ks_n128.params"))
+    result = serial_pac(ks_problem(config), params, z0)
+    assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
+    counts = (
+        len(result.accepted_points),
+        result.corrector_steps_total,
+        result.failures,
+    )
+    assert counts == (259, 794, 5)
 
 
 def test_ks128_tree_points_polish_under_the_nonconservative_form():

@@ -1,5 +1,7 @@
 """Residual evaluation and the bordered corrector step."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from arctree.problem import (
 from test_engine import counting_circle
 
 
+def exactly(message):
+    """A pytest.raises match for this whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 def test_problem_definition_validation():
     with pytest.raises(ValueError):
         ProblemDefinition(n_dim=1, lambda_index=0, residual=lambda z: z)
@@ -32,7 +39,9 @@ def no_jacobian(z):
 
 def test_evaluate_residual_shape_and_finiteness():
     problem = circle_problem()
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=exactly("point has shape (3,), expected (2,)")
+    ):
         evaluate_residual(problem, np.zeros(3))
     bad = ProblemDefinition(
         n_dim=2,
@@ -45,7 +54,9 @@ def test_evaluate_residual_shape_and_finiteness():
     wrong_shape = ProblemDefinition(
         n_dim=2, lambda_index=1, residual=lambda z: np.zeros(2), jacobian=no_jacobian
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=exactly("residual has shape (2,), expected (1,)")
+    ):
         evaluate_residual(wrong_shape, np.zeros(2))
 
 
@@ -218,7 +229,9 @@ def test_corrector_requires_jacobian_or_custom():
         residual=lambda z: np.array([z[0]]),
         jacobian=lambda z: np.ones((2, 2)),
     )
-    with pytest.raises(ValueError, match="jacobian has shape"):
+    with pytest.raises(
+        ValueError, match=exactly("jacobian has shape (2, 2), expected (1, 2)")
+    ):
         corrector_step(
             problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
         )
@@ -257,7 +270,9 @@ def test_custom_corrector_output_checked():
         )
     # A wrong shape is a contract error, not a step failure.
     problem.corrector = lambda zeta, tangent, z_base, h: np.zeros(3)
-    with pytest.raises(ValueError, match="corrector returned shape"):
+    with pytest.raises(
+        ValueError, match=exactly("corrector returned shape (3,), expected (2,)")
+    ):
         corrector_step(
             problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
         )

@@ -31,7 +31,7 @@ from conftest import build_prune_fixture, make_node, make_params
 # ---------------------------------------------------------------------------
 
 
-def colored(nu, current, previous=None):
+def colored(nu, current, previous=math.inf):
     params = make_params(
         tol_residual=5e-7, gamma=2.0, mu=0.5, max_iter=4, h_min=1e-3, h_init=0.1,
         h_max=2000.0,
@@ -76,10 +76,13 @@ def test_green_takes_precedence_over_black():
 
 
 def test_no_divergence_check_before_first_iteration():
-    node = make_node(Color.RED, nu=0, h_init=1.0, residual=0.3)
-    node.residual_norm_previous = None
+    # A fresh node's previous residual is inf, and r > mu * inf is False
+    # for every r, an infinite or NaN one included.
     params = make_params()
-    assert assign_color(node, params) is Color.RED
+    for current in (0.3, math.inf, math.nan):
+        node = make_node(Color.RED, nu=0, h_init=1.0, residual=current)
+        assert node.residual_norm_previous == math.inf
+        assert assign_color(node, params) is Color.RED
 
 
 @given(
@@ -90,7 +93,7 @@ def test_no_divergence_check_before_first_iteration():
 def test_assign_color_is_pure(nu, current, previous):
     params = make_params()
     node = make_node(Color.RED, nu=nu, h_init=1.0, residual=current)
-    node.residual_norm_previous = previous if nu >= 1 else None
+    node.residual_norm_previous = previous if nu >= 1 else math.inf
     assert assign_color(node, params) is assign_color(node, params)
 
 
