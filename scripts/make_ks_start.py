@@ -109,7 +109,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--lam", type=float, default=0.1828)
-    parser.add_argument("--amplitude", type=float, default=8.09)
+    parser.add_argument("--amplitude", type=float, default=KsConfig.amplitude)
     parser.add_argument(
         "--out",
         default=None,

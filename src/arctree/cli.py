@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ks-amplitude",
         type=float,
-        default=8.09,
+        default=KsConfig.amplitude,
         help="forcing amplitude A for the built-in ks problem",
     )
     return parser

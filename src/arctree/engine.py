@@ -314,9 +314,9 @@ def spawn_round(root: TreeNode, params: RunParams) -> int:
     The budget is the worker budget less the unfinished nodes already in
     the tree, so a tree whose RED and YELLOW nodes fill it spawns nothing.
     Leaves are visited breadth first; only leaves above the depth cap
-    spawn.  Each leaf seeds one child per scaling (tree.seed), in
-    ascending scaling order, from its current iterate along its
-    secant_direction: one rule for every leaf, the root included.
+    spawn.  Each leaf seeds one child per scaling (tree.seed), in the
+    ascending order RunParams stores them, from its current iterate along
+    its secant_direction: one rule for every leaf, the root included.
     Children whose step magnitude would exceed h_max are skipped.
     Returns the number of children created.  A child's residual is
     evaluated in its first corrector round, not here.
@@ -329,7 +329,7 @@ def spawn_round(root: TreeNode, params: RunParams) -> int:
         if depth >= params.max_depth:
             continue
         direction = secant_direction(leaf)
-        for scale in sorted(params.scalings):
+        for scale in params.scalings:
             if spawned >= budget:
                 break
             h_child = scale * leaf.h_base
@@ -409,12 +409,13 @@ def run_continuation(
     write the tree snapshot to dot_dir when one is given, prune, advance
     the root; the BLACK nodes prune drops are the run's failures.  Stops by
     stop_reason on the root's point, its base step and the rounds
-    executed, or when a round can change nothing.  Each point goes through
-    emit_point once, when it is accepted: the start before bootstrap, so a
-    run that fails there has emitted exactly its start, and every later
-    point when it becomes the root; nothing is emitted at
-    termination.  n_workers threads, the calling one included, serve each
-    corrector round, and BLAS runs on one thread throughout (see blas).
+    executed, or with EVALUATION_FAILURE when a point fails
+    re-verification.  Each point goes through emit_point once, when it is
+    accepted: the start before bootstrap, so a run that fails there has
+    emitted exactly its start, and every later point when it becomes the
+    root; nothing is emitted at termination.  n_workers threads, the
+    calling one included, serve each corrector round, and BLAS runs on
+    one thread throughout (see blas).
     """
     accepted: list[CurvePoint] = []
 
@@ -434,19 +435,13 @@ def run_continuation(
                 )
                 if reason is not None:
                     break
-                spawned = spawn_round(root, params)
-                steps = corrector_round(root, problem, params, pool)
-                steps_total += steps
+                spawn_round(root, params)
+                steps_total += corrector_round(root, problem, params, pool)
                 rounds += 1
                 if dot_dir is not None:
                     export_dot(root, rounds, dot_dir)
                 failures += prune_tree(root, params)
-                root, emitted = advance_root(root, emit, params)
-                if spawned == 0 and steps == 0 and emitted == 0:
-                    # Nothing can change from here on; give up now instead
-                    # of spinning to the round limit.
-                    reason = TerminationReason.ITERATION_BUDGET
-                    break
+                root, _ = advance_root(root, emit, params)
         except EvaluationError:
             reason = TerminationReason.EVALUATION_FAILURE
     return ContinuationResult(accepted, reason, steps_total, failures, rounds)

@@ -23,10 +23,11 @@ class RunParams:
     curve at bootstrap time (parameter increasing when positive), while
     all tree step lengths use its magnitude.  scalings holds one positive
     predictor step multiplier per speculative child, max_children in
-    total.  worker_budget is the number of logical corrector slots and is
-    part of the algorithm (it bounds speculation); the number of threads
-    that physically serve those slots is a separate execution detail and
-    never changes results.  Only the CLI reads verbose.
+    total, stored ascending, the smallest at most 1 (so some child fits
+    under h_max).  worker_budget is the number of logical corrector slots
+    and is part of the algorithm (it bounds speculation); the number of
+    threads that physically serve those slots is a separate execution
+    detail and never changes results.  Only the CLI reads verbose.
 
     A parameter file (see fileio) holds one ``KEY value`` line per field
     but scalings, worker_budget and round_limit: KEY is the field name in
@@ -103,6 +104,9 @@ class RunParams:
         for k, t in enumerate(self.scalings):
             if not 0.0 < t < math.inf:
                 raise bad(f"SCALE_PROCESS_{k} must be positive and finite")
+        self.scalings = tuple(sorted(self.scalings))
+        if self.scalings[0] > 1.0:
+            raise bad("the smallest SCALE_PROCESS must be at most 1")
         if self.verbose < 0:
             raise bad("VERBOSE must be nonnegative")
         if self.worker_budget < 1:

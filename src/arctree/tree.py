@@ -271,7 +271,7 @@ def reduce_base_step(node: TreeNode, scalings: tuple[float, ...]) -> None:
     largest scaling times the old base, so the next batch of children is
     seeded strictly inside the span the failed batch covered.
     """
-    node.h_base *= STEP_BACKOFF * min(scalings) / max(scalings)
+    node.h_base *= STEP_BACKOFF * scalings[0] / scalings[-1]
 
 
 def prune_tree(root: TreeNode, params: RunParams) -> int:

@@ -423,15 +423,16 @@ def test_budget_override_changes_the_run(circle_args, tmp_path, capsys):
     assert narrow.shape != wide.shape or not np.array_equal(narrow, wide)
 
 
-def edited_circle_args(tmp_path, key, value):
-    """CLI arguments for the packaged circle run with the setting key = value."""
+def edited_circle_args(tmp_path, **settings):
+    """CLI arguments for the packaged circle run with each KEY=value setting."""
     lines = [
         line
         for line in data_path("circle.params").read_text(encoding="utf-8").splitlines()
-        if line.split()[:1] != [key]
+        if line.partition(" ")[0] not in settings
     ]
+    lines += [f"{key} {value}" for key, value in settings.items()]
     params = tmp_path / "edited.params"
-    params.write_text("\n".join(lines + [f"{key} {value}"]) + "\n", encoding="utf-8")
+    params.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [
         "--params", str(params),
         "--initial-point", str(data_path("circle_start.txt")),
@@ -440,20 +441,47 @@ def edited_circle_args(tmp_path, key, value):
 
 
 def test_non_finite_setting_is_a_usage_error(tmp_path, capsys):
-    assert main(edited_circle_args(tmp_path, "H_INIT", "nan")) == 2
+    assert main(edited_circle_args(tmp_path, H_INIT="nan")) == 2
     assert "H_INIT must be finite" in capsys.readouterr().err
     assert not (tmp_path / "curve.txt").exists()
 
 
+def test_scalings_all_above_one_are_a_usage_error(tmp_path, capsys):
+    # No child could fit under H_MAX once the step controller reaches it.
+    argv = edited_circle_args(
+        tmp_path, SCALE_PROCESS_0=2, SCALE_PROCESS_1=3, SCALE_PROCESS_2=4
+    )
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("arctree:")
+    assert "SCALE_PROCESS" in err[0]
+    assert not (tmp_path / "curve.txt").exists()
+
+
+def test_scalings_in_any_file_order_give_the_same_run(tmp_path, capsys):
+    unsorted = tmp_path / "unsorted"
+    unsorted.mkdir()
+    argv = edited_circle_args(unsorted, SCALE_PROCESS_0=2.0, SCALE_PROCESS_2=0.75)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == (
+        "24 points, 36 rounds, 149 corrector steps, 0 failed nodes: "
+        "REACHED_LAMBDA_MAX"
+    )
+    assert main(edited_circle_args(tmp_path)) == 0
+    assert (unsorted / "curve.txt").read_bytes() == (
+        tmp_path / "curve.txt"
+    ).read_bytes()
+
+
 def test_verbose_1_prints_only_the_summary(tmp_path, capsys):
-    assert main(edited_circle_args(tmp_path, "VERBOSE", 1)) == 0
+    assert main(edited_circle_args(tmp_path, VERBOSE=1)) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 1 and SUMMARY.search(out.strip())
     assert not list(tmp_path.glob("tree_*.dot"))
 
 
 def test_verbose_params_produce_dot_snapshots(tmp_path):
-    assert main(edited_circle_args(tmp_path, "VERBOSE", 2)) == 0
+    assert main(edited_circle_args(tmp_path, VERBOSE=2)) == 0
     snapshots = sorted(tmp_path.glob("tree_*.dot"))
     assert snapshots
     assert all(p.read_text(encoding="utf-8").startswith("digraph") for p in snapshots)

@@ -1,5 +1,6 @@
 """Bootstrap, spawning, corrector rounds, root advancement, main loop."""
 
+import random
 import sys
 import threading
 import zlib
@@ -24,6 +25,7 @@ from arctree import (
     run_continuation,
     serial_pac,
 )
+from arctree import engine
 from arctree.engine import (
     WorkerPool,
     advance_root,
@@ -658,14 +660,77 @@ def test_window_wins_when_the_round_limit_runs_out_on_the_exit(algorithm):
     assert short.termination_reason is TerminationReason.ITERATION_BUDGET
 
 
-def test_dead_state_breaks_early():
-    # All scalings overshoot h_max, so nothing can ever be spawned.
-    params = make_params(
-        h_init=0.2, h_max=0.25, scalings=(1.5, 2.0, 3.0), round_limit=1000
+@st.composite
+def circle_tree_runs(draw):
+    """Valid circle params with a round limit of 100, and a failure seed."""
+    n_children = draw(st.integers(min_value=1, max_value=3))
+    scalings = [draw(st.floats(min_value=0.1, max_value=1.0))] + draw(
+        st.lists(
+            st.floats(min_value=0.1, max_value=3.0),
+            min_size=n_children - 1,
+            max_size=n_children - 1,
+        )
     )
-    result = run_continuation(circle_problem(), params, Z0)
-    assert result.termination_reason is TerminationReason.ITERATION_BUDGET
-    assert result.rounds_executed < 5
+    h_max = draw(st.floats(min_value=0.05, max_value=1.0))
+    params = make_params(
+        h_max=h_max,
+        h_init=h_max * draw(st.floats(min_value=0.01, max_value=1.0)),
+        max_depth=draw(st.integers(min_value=1, max_value=3)),
+        max_children=n_children,
+        scalings=tuple(draw(st.permutations(scalings))),
+        worker_budget=draw(st.integers(min_value=1, max_value=12)),
+        round_limit=100,
+    )
+    failure_rate = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    return params, failure_rate, draw(st.integers(min_value=0, max_value=2**32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_tree_runs())
+def test_every_round_spawns_steps_or_emits(case):
+    # With a scaling of at most 1 some child always fits under h_max, so
+    # the loop needs no stop of its own for a round that does nothing.
+    params, failure_rate, seed_value = case
+    inner = circle_problem()
+    rng = random.Random(seed_value)
+
+    def corrector(zeta, tangent, z_base, h):
+        # The bootstrap's probe rides the exact parameter axis; spare it.
+        if tangent[0] != 0.0 and rng.random() < failure_rate:
+            raise CorrectorFailure("refused at random")
+        return bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
+
+    problem = ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=inner.residual,
+        jacobian=inner.jacobian,
+        corrector=corrector,
+    )
+    rounds = []
+
+    def spawn(*args):
+        spawned = spawn_round(*args)
+        rounds.append([spawned])
+        return spawned
+
+    def correct_all(*args):
+        steps = corrector_round(*args)
+        rounds[-1].append(steps)
+        return steps
+
+    def advance(*args):
+        root, emitted = advance_root(*args)
+        rounds[-1].append(emitted)
+        return root, emitted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "spawn_round", spawn)
+        mp.setattr(engine, "corrector_round", correct_all)
+        mp.setattr(engine, "advance_root", advance)
+        result = run_continuation(problem, params, Z0)
+    assert len(rounds) == result.rounds_executed <= 100
+    assert all(len(r) == 3 and any(r) for r in rounds), rounds
 
 
 def test_corrector_steps_total_counts_only_main_loop():

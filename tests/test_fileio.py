@@ -37,14 +37,14 @@ def run_params(draw):
         h_max, h_min * draw(st.floats(min_value=1.0, max_value=1e4))
     )
     n_children = draw(st.integers(min_value=1, max_value=5))
-    scalings = tuple(
-        sorted(
-            draw(
-                st.lists(
-                    st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
-                    min_size=n_children,
-                    max_size=n_children,
-                )
+    # In file order, not sorted: RunParams stores them ascending.  The first
+    # is at most 1, as the smallest must be.
+    scalings = (draw(st.floats(min_value=0.01, max_value=1.0)),) + tuple(
+        draw(
+            st.lists(
+                st.floats(min_value=0.01, max_value=10.0),
+                min_size=n_children - 1,
+                max_size=n_children - 1,
             )
         )
     )

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from arctree.cli import build_parser
 from arctree.problems import KsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,11 @@ def test_verify_re_verifies_the_packaged_ks_start():
 
 def test_verify_keyword_still_builds_the_config():
     assert KsConfig(n_grid=128, reference_profile=np.ones(128)) == KsConfig(n_grid=128)
+
+
+def test_probe_reads_the_default_amplitude():
+    args = build_parser().parse_args(["--params", "p", "--initial-point", "z"])
+    assert args.ks_amplitude == KsConfig.amplitude == 8.09
 
 
 @pytest.mark.parametrize("workload", ["ks128-tree", "circle-tree"])

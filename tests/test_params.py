@@ -77,6 +77,23 @@ def test_invalid_parameters_rejected(overrides):
         make_params(**overrides)
 
 
+def test_scalings_are_stored_ascending():
+    assert make_params(scalings=(2.0, 1.0, 0.75)).scalings == (0.75, 1.0, 2.0)
+    assert make_params(scalings=(2.0, 1.0, 0.75)) == make_params()
+
+
+def test_scalings_all_above_one_rejected():
+    # No child could fit once the step controller reaches h_max.
+    with pytest.raises(ParameterError, match="smallest SCALE_PROCESS"):
+        make_params(scalings=(1.5, 2.0, 3.0))
+    assert make_params(scalings=(1.0, 2.0, 3.0)).scalings[0] == 1.0
+
+
+def test_bad_scaling_is_named_by_its_file_position():
+    with pytest.raises(ParameterError, match="SCALE_PROCESS_2 must be positive"):
+        make_params(scalings=(2.0, 0.5, -1.0))
+
+
 def test_signed_h_init_allowed():
     assert make_params(h_init=-0.1).h_init == -0.1
 
