@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 
 from .baselines import natural_continuation, serial_pac
-from .engine import BootstrapError, TerminationReason, run_continuation
+from .engine import BootstrapError, TerminationReason, check_inputs, run_continuation
 from .fileio import parse_parameters, read_initial_point, write_curve_point
 from .params import RunParams
 from .problem import CurvePoint, ProblemDefinition
@@ -138,23 +138,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
         params = parse_parameters(args.params)
         z0 = read_initial_point(args.initial_point)
-        if z0.shape != (params.n_dim,):
-            raise ValueError(
-                f"initial point has {z0.shape[0]} entries, "
-                f"parameter file says N_DIM {params.n_dim}"
-            )
         if args.budget is not None:
             params = replace(params, worker_budget=args.budget)
         problem = resolve_problem(args.problem, params, z0, args.ks_amplitude)
-        for key, ours, theirs in (
-            ("N_DIM", problem.n_dim, params.n_dim),
-            ("LAMBDA_INDEX", problem.lambda_index, params.lambda_index),
-        ):
-            if ours != theirs:
-                raise ValueError(
-                    f"problem {args.problem} has {key} {ours}, "
-                    f"parameter file says {key} {theirs}"
-                )
+        check_inputs(problem, params, z0)
         outdir = Path(args.outdir)
         curve_path = outdir / "curve.txt"
         try:

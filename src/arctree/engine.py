@@ -154,25 +154,28 @@ def stop_reason(
     return None
 
 
-def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
-    """Advance the node's corrector sequence by one step, in place.
+def step(problem: ProblemDefinition, node: TreeNode) -> bool:
+    """Call the corrector once on the node's sequence, in place.
 
     The one place a step failure is caught; none is raised.  F is taken
     at base z_init, as the bordered row is.  A fresh node first has F
     evaluated at its iterate and takes that norm as its current one; a
-    non-finite residual there sets it to inf and returns None, unstepped.
-    A failed step, or a non-finite residual at the new iterate, returns
-    False and keeps the iterate.  Otherwise the node holds the new
-    iterate, F and its norm there, the norm it stepped from as the
-    previous one and one more iteration, and True is returned.
+    non-finite residual there sets it to inf and returns False with no
+    call made.  Otherwise nu counts the call and the current norm becomes
+    the previous one before it is made.  A failed call, or a non-finite
+    residual at the new iterate, returns False and keeps the iterate;
+    a successful one leaves the new iterate, F and its norm there, and
+    returns True.
     """
     if node.residual is None:
         try:
             node.residual = evaluate_residual(problem, node.zeta, node.z_init)
         except EvaluationError:
             node.residual_norm_current = math.inf
-            return None
+            return False
         node.residual_norm_current = math.sqrt(node.residual.dot(node.residual))
+    node.nu += 1
+    node.residual_norm_previous = node.residual_norm_current
     try:
         zeta = corrector_step(
             problem, node.zeta, node.t_init, node.z_init, node.h_init, node.residual
@@ -181,8 +184,6 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool | None:
     except (CorrectorFailure, EvaluationError):
         return False
     node.zeta, node.residual = zeta, f
-    node.nu += 1
-    node.residual_norm_previous = node.residual_norm_current
     node.residual_norm_current = math.sqrt(f.dot(f))
     return True
 
@@ -198,18 +199,13 @@ def correct(
 
     The sequence is one tree.seed node, advanced by step.  Returns it
     once converged, or None when max_iter steps do not converge or a step
-    fails, together with the steps counted by the tree's rule: a step
-    counts once the corrector has been called, and a non-finite predictor
-    never counts.
+    fails, together with its nu: the corrector calls it made.
     """
     node = seed(z_base, tangent, h)
-    while node.nu < params.max_iter:
-        stepped = step(problem, node)
-        if not stepped:
-            return None, 0 if stepped is None else node.nu + 1
+    while node.nu < params.max_iter and step(problem, node):
         if node.residual_norm_current <= params.tol_residual:
             return node, node.nu
-    return None, params.max_iter
+    return None, node.nu
 
 
 def next_step(h: float, taken: int, params: RunParams) -> float:
@@ -255,6 +251,27 @@ def emit_point(
     return r
 
 
+def check_inputs(
+    problem: ProblemDefinition, params: RunParams, initial_point: Array
+) -> None:
+    """Raise ValueError, naming the key, where the inputs of a run disagree.
+
+    The problem's n_dim and lambda_index must be N_DIM and LAMBDA_INDEX,
+    and the initial point must hold N_DIM entries.
+    """
+    for key, ours, theirs in (
+        ("N_DIM", problem.n_dim, params.n_dim),
+        ("LAMBDA_INDEX", problem.lambda_index, params.lambda_index),
+    ):
+        if ours != theirs:
+            raise ValueError(f"problem has {key} {ours}, parameters say {key} {theirs}")
+    shape = np.shape(initial_point)
+    if shape != (params.n_dim,):
+        raise ValueError(
+            f"initial point has shape {shape}, parameters say N_DIM {params.n_dim}"
+        )
+
+
 def start_point(
     problem: ProblemDefinition,
     params: RunParams,
@@ -264,12 +281,14 @@ def start_point(
 ) -> TreeNode:
     """Accept the initial point through emit_point; return the start record.
 
-    The record is GREEN at a copy of the initial point that neither the
-    caller nor the sink holds (z_init is zeta), with the emitted norm, and
-    seeds along the unit parameter axis with steps delta_lambda.  A start
-    that fails the check is not recorded and raises BootstrapError,
-    naming the initial point and its residual.
+    Inputs that check_inputs refuses raise its ValueError before anything
+    is emitted.  The record is GREEN at a copy of the initial point that
+    neither the caller nor the sink holds (z_init is zeta), with the
+    emitted norm, and seeds along the unit parameter axis with steps
+    delta_lambda.  A start that fails the check is not recorded and
+    raises BootstrapError, naming the initial point and its residual.
     """
+    check_inputs(problem, params, initial_point)
     z = np.array(initial_point, dtype=float)
     try:
         r = emit_point(problem, params, z, accepted, sink)
@@ -351,18 +370,17 @@ def corrector_round(
     All RED and YELLOW nodes receive exactly one step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
     Each task advances its own node in place (see step).  The nodes are
-    then recolored in traversal order: a failed step, or a non-finite
-    residual at a predictor, turns the node BLACK, and assign_color
-    classifies the rest.  Returns the steps counted by the rule of
-    correct.
+    then recolored in traversal order: a node whose step returned False
+    turns BLACK, and assign_color classifies the rest.  Returns the
+    corrector calls the nodes made, the growth of their summed nu.
     """
     targets = unfinished_nodes(root)
+    calls = -sum(node.nu for node in targets)
     outcomes = pool.map(step, [(problem, n) for n in targets])
-    steps = 0
     for node, stepped in zip(targets, outcomes):
-        steps += stepped is not None
+        calls += node.nu
         node.color = assign_color(node, params) if stepped else Color.BLACK
-    return steps
+    return calls
 
 
 def advance_root(

@@ -83,8 +83,9 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
         raise ParameterError(f"{name}: missing required key(s): {', '.join(missing)}")
 
     n_children = int(seen["max_children"])
-    expected = set(range(n_children))
-    if set(scalings) != expected:
+    # The slots are distinct, so MAX_CHILDREN of them all below MAX_CHILDREN
+    # are exactly 0 .. MAX_CHILDREN-1; nothing MAX_CHILDREN long is built.
+    if len(scalings) != max(n_children, 0) or any(k >= n_children for k in scalings):
         got = ", ".join(f"SCALE_PROCESS_{i}" for i in sorted(scalings)) or "none"
         raise ParameterError(
             f"{name}: need SCALE_PROCESS_0 .. SCALE_PROCESS_{n_children - 1} "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -11,8 +12,17 @@ class ParameterError(ValueError):
 
 
 def default_worker_budget(max_children: int, max_depth: int) -> int:
-    """Corrector slots needed to populate a full speculation tree."""
-    return sum(max_children**k for k in range(1, max_depth + 1))
+    """Corrector slots needed to populate a full speculation tree.
+
+    The sum of max_children**k for k = 1 .. max_depth, for a validated
+    shape (both at least 1), capped at sys.maxsize, a budget no run can
+    fill.  With two or more children the 64th level alone passes the
+    cap, so no deeper level is summed.
+    """
+    if max_children == 1:
+        return min(max_depth, sys.maxsize)
+    depth = min(max_depth, 64)
+    return min(sum(max_children**k for k in range(1, depth + 1)), sys.maxsize)
 
 
 @dataclass
@@ -58,10 +68,6 @@ class RunParams:
 
     def __post_init__(self) -> None:
         self.scalings = tuple(float(t) for t in self.scalings)
-        if self.worker_budget is None:
-            self.worker_budget = default_worker_budget(
-                self.max_children, self.max_depth
-            )
         self._validate()
 
     def _validate(self) -> None:
@@ -109,6 +115,10 @@ class RunParams:
             raise bad("the smallest SCALE_PROCESS must be at most 1")
         if self.verbose < 0:
             raise bad("VERBOSE must be nonnegative")
+        if self.worker_budget is None:
+            self.worker_budget = default_worker_budget(
+                self.max_children, self.max_depth
+            )
         if self.worker_budget < 1:
             raise bad("worker budget must be at least 1")
         if self.round_limit < 1:

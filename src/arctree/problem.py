@@ -212,8 +212,8 @@ def bordered_newton_step(
     or below SINGULAR_PIVOT_RTOL times the largest one raises
     CorrectorFailure("singular bordered system"), which catches an
     all-zero matrix and an infinite pivot.  Any other NaN or infinity, in
-    the Jacobian, the tangent or the gap, reaches the update, and a
-    non-finite update raises CorrectorFailure too.
+    the Jacobian, the tangent or the gap, reaches the update, which
+    corrector_step judges.
     """
     zeta = np.asarray(zeta, dtype=float)
     n = problem.n_dim
@@ -231,8 +231,6 @@ def bordered_newton_step(
     rhs[-1] = h - float(np.dot(tangent, zeta - z_base))
     out = lu_solve((lu, piv), rhs)
     out += zeta
-    if not np.isfinite(out).all():
-        raise CorrectorFailure("non-finite corrector update")
     return out
 
 
@@ -248,15 +246,17 @@ def corrector_step(
 
     Dispatches to the user-supplied corrector when present, called as
     (zeta, tangent, z_base, h), otherwise to the default bordered Newton
-    step, which is handed f = F(zeta).  Non-finite output from a custom
-    stepper is mapped to CorrectorFailure.
+    step, which is handed f = F(zeta).  The one judge of either
+    stepper's output: a non-finite iterate raises
+    CorrectorFailure("non-finite corrector update").
     """
     if problem.corrector is None:
-        return bordered_newton_step(problem, zeta, tangent, z_base, h, f)
-    out = _shaped(
-        problem.corrector(zeta, tangent, z_base, h), (problem.n_dim,),
-        "corrector returned shape",
-    )
-    if not np.all(np.isfinite(out)):
-        raise CorrectorFailure("corrector returned non-finite iterate")
+        out = bordered_newton_step(problem, zeta, tangent, z_base, h, f)
+    else:
+        out = _shaped(
+            problem.corrector(zeta, tangent, z_base, h), (problem.n_dim,),
+            "corrector returned shape",
+        )
+    if not np.isfinite(out).all():
+        raise CorrectorFailure("non-finite corrector update")
     return out

@@ -57,15 +57,16 @@ class TreeNode:
     zeta is the current iterate; z_init and t_init are the seed point and
     unit seed direction, so seed starts zeta at z_init + h_init * t_init.
     Every leaf, the root included, seeds its children along its
-    secant_direction.  nu counts corrector iterations applied to this
-    node; nu_init records the parent's iteration count at spawn time.
+    secant_direction.  nu counts the corrector calls made on this node, a
+    failed one included (a non-finite predictor residual makes none);
+    nu_init records the parent's count at spawn time.
     h_base is the adaptive base step scaled to seed this node's children.
     It starts as the node's own seed step; when the node becomes the root,
     or serial-pac accepts it, it is reset from h_init and nu
     (engine.next_step), and it shrinks after its children fail.  residual
     is F(zeta) at base z_init, kept for the next corrector step, or None
     while the node is fresh; residual_norm_current is its norm (inf until
-    first evaluated) and residual_norm_previous the norm the last step
+    first evaluated) and residual_norm_previous the norm the last call
     started from, inf exactly while nu == 0, both at the same base.
     """
 

@@ -44,6 +44,7 @@ from arctree.tree import (
     iter_nodes,
     prune_tree,
     secant_direction,
+    seed,
 )
 from conftest import make_node, make_params
 from test_baselines import linear_problem
@@ -283,6 +284,16 @@ def refusing_problem() -> ProblemDefinition:
     )
 
 
+def landing_in_nan() -> ProblemDefinition:
+    """A corrector that lands every iterate at x = 10, where F is NaN."""
+    return ProblemDefinition(
+        n_dim=2,
+        lambda_index=1,
+        residual=lambda z: np.array([np.nan if z[0] > 5.0 else z[0] - z[1]]),
+        corrector=lambda zeta, tangent, z_base, h: np.array([10.0, h]),
+    )
+
+
 def test_corrector_round_blackens_failed_steps():
     problem = refusing_problem()
     params = make_params()
@@ -291,6 +302,24 @@ def test_corrector_round_blackens_failed_steps():
     root.children = [child]
     corrector_round(root, problem, params, WorkerPool(1))
     assert child.color is Color.BLACK
+
+
+def test_step_counts_every_corrector_call():
+    # nu grows with each call, a failed one included; a node whose
+    # predictor residual is non-finite makes none.
+    axis = np.array([0.0, 1.0])
+    refused = seed(np.zeros(2), axis, 0.1)
+    assert engine.step(refusing_problem(), refused) is False
+    assert refused.nu == 1
+    landed = seed(np.zeros(2), axis, 0.1)
+    assert engine.step(landing_in_nan(), landed) is False
+    assert landed.nu == 1 and landed.zeta.tolist() == [0.0, 0.1]
+    hole = seed(np.zeros(2), axis, 0.2)
+    assert engine.step(nan_beyond_problem(), hole) is False
+    assert hole.nu == 0 and hole.residual_norm_current == np.inf
+    stepped = seed(np.zeros(2), axis, 0.1)
+    assert engine.step(slow_problem(), stepped) is True
+    assert stepped.nu == 1
 
 
 def test_a_raising_corrector_costs_one_step_in_correct_and_in_a_round():
@@ -936,6 +965,29 @@ def nan_holed_circle(seed: int, rate: float) -> ProblemDefinition:
     return replace(inner, residual=residual)
 
 
+@pytest.mark.parametrize(
+    "problem,start,key",
+    [
+        (replace(circle_problem(), lambda_index=0), Z0, "LAMBDA_INDEX"),
+        (replace(circle_problem(), n_dim=3), Z0, "N_DIM"),
+        (circle_problem(), np.zeros(3), "N_DIM"),
+    ],
+    ids=["problem-lambda-index", "problem-n-dim", "start-length"],
+)
+@pytest.mark.parametrize(
+    "algorithm", [run_continuation, serial_pac, natural_continuation]
+)
+def test_inputs_that_contradict_the_parameters_are_refused(
+    algorithm, problem, start, key
+):
+    # The CLI refuses these as usage errors; a library run refuses them
+    # too, before its sink sees anything.
+    seen = []
+    with pytest.raises(ValueError, match=key):
+        algorithm(problem, make_params(), start, sink=seen.append)
+    assert seen == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -959,14 +1011,8 @@ def test_nan_holes_end_a_run_with_only_verified_points(seed, rate, algorithm):
 
 
 def test_correct_counts_steps_up_to_a_non_finite_residual():
-    # The stepper lands every iterate where the residual is NaN, so the
-    # first step completes and its residual check fails.
-    problem = ProblemDefinition(
-        n_dim=2,
-        lambda_index=1,
-        residual=lambda z: np.array([np.nan if z[0] > 5.0 else z[0] - z[1]]),
-        corrector=lambda zeta, tangent, z_base, h: np.array([10.0, h]),
-    )
+    # The first step completes and its residual check fails.
+    problem = landing_in_nan()
     axis = np.array([0.0, 1.0])
     point, steps = correct(problem, np.zeros(2), axis, 0.1, make_params())
     assert point is None

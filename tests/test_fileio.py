@@ -1,6 +1,8 @@
 """Parameter files, curve files, initial points, DOT snapshots."""
 
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +171,29 @@ def test_parse_rejects_scaling_count_mismatch(tmp_path):
     path = write_lines(tmp_path, valid_lines() + ["SCALE_PROCESS_3 4.0"])
     with pytest.raises(ParameterError, match=r"MAX_CHILDREN=3"):
         parse_parameters(path)
+
+
+def test_parse_is_bounded_by_the_file(tmp_path):
+    # The scaling slots are checked against the lines present, so a huge
+    # MAX_CHILDREN costs nothing in proportion to it.
+    lines = valid_lines()
+    lines[lines.index("MAX_CHILDREN 3")] = f"MAX_CHILDREN {10**6}"
+    tracemalloc.start()
+    try:
+        message = parse_error(tmp_path, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message.endswith(
+        "need SCALE_PROCESS_0 .. SCALE_PROCESS_999999 to match "
+        "MAX_CHILDREN=1000000, got: SCALE_PROCESS_0, SCALE_PROCESS_1, "
+        "SCALE_PROCESS_2"
+    )
+    assert peak < 1_000_000
+    # A deep shape parses to the capped default budget.
+    lines = valid_lines()
+    lines[lines.index("MAX_DEPTH 2")] = f"MAX_DEPTH {10**9}"
+    assert parse_parameters(write_lines(tmp_path, lines)).worker_budget == sys.maxsize
 
 
 def test_parse_rejects_invalid_combination(tmp_path):

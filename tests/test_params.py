@@ -1,9 +1,11 @@
 """Run-parameter validation."""
 
 import math
+import sys
 
 import pytest
 
+import arctree.params
 from arctree import ParameterError
 from arctree.params import default_worker_budget
 from conftest import make_params
@@ -23,6 +25,28 @@ def test_default_worker_budget_geometric_sum():
     assert default_worker_budget(1, 5) == 5
     params = make_params(max_depth=2, max_children=3)
     assert params.worker_budget == 12
+
+
+def test_default_worker_budget_is_capped_for_deep_trees():
+    # A full tree this deep holds more slots than any run can fill, so the
+    # default stops at sys.maxsize instead of summing depth-long integers.
+    assert make_params(max_depth=5000).worker_budget == sys.maxsize
+    assert default_worker_budget(2, 10**9) == sys.maxsize
+    assert default_worker_budget(1, 10**9) == 10**9
+    assert default_worker_budget(2, 62) == 2**63 - 2
+
+
+def test_default_worker_budget_waits_for_a_valid_shape(monkeypatch):
+    def refuse(*shape):
+        raise AssertionError(f"default budget computed for shape {shape}")
+
+    monkeypatch.setattr(arctree.params, "default_worker_budget", refuse)
+    for shape in [
+        dict(max_children=0, scalings=(), max_depth=10**9),
+        dict(max_depth=0),
+    ]:
+        with pytest.raises(ParameterError, match="must be at least 1"):
+            make_params(**shape)
 
 
 def test_worker_budget_override():

@@ -149,7 +149,8 @@ def test_singular_bordered_matrix_fails():
 
 # Each input puts a NaN or an infinity into the bordered system at the
 # predictor (1, 0.1), whose Jacobian row is [[2, 0.2]].  An infinite pivot
-# alone solves to a finite update, so only the pivot test catches it.
+# alone solves to a finite update, so only the pivot test catches it; the
+# rest reach the update, which corrector_step judges.
 NON_FINITE = {
     "jacobian": dict(jacobian=[[np.nan, 0.2]]),
     "inf-jacobian": dict(jacobian=[[np.inf, 0.2]]),
@@ -174,7 +175,7 @@ def test_non_finite_bordered_system_fails(where):
         jacobian=lambda z: np.array(case["jacobian"]),
     )
     with pytest.raises(CorrectorFailure):
-        bordered_newton_step(
+        corrector_step(
             problem, np.array([1.0, 0.1]), np.array(case["tangent"]),
             np.array(case["z_base"]), case["h"], np.array([0.01]),
         )
@@ -212,10 +213,16 @@ def test_an_overflowing_bordered_solve_fails():
         jacobian=lambda z: np.array([[1.0, 0.0]]),
     )
     with pytest.raises(CorrectorFailure, match="non-finite corrector update"):
-        bordered_newton_step(
+        corrector_step(
             problem, np.zeros(2), np.array([0.0, 1e-13]), np.zeros(2), 1e300,
             np.zeros(1),
         )
+    # The bordered step itself leaves the update to corrector_step.
+    out = bordered_newton_step(
+        problem, np.zeros(2), np.array([0.0, 1e-13]), np.zeros(2), 1e300,
+        np.zeros(1),
+    )
+    assert not np.isfinite(out).all()
 
 
 def test_corrector_requires_jacobian_or_custom():
@@ -264,7 +271,8 @@ def test_custom_corrector_output_checked():
         residual=lambda z: np.array([z[0]]),
         corrector=lambda zeta, tangent, z_base, h: np.array([np.inf, 0.0]),
     )
-    with pytest.raises(CorrectorFailure):
+    # Both steppers' output is judged once, by the same check.
+    with pytest.raises(CorrectorFailure, match=exactly("non-finite corrector update")):
         corrector_step(
             problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
         )
