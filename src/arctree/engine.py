@@ -13,7 +13,7 @@ from next_step, the step rule serial-pac shares.
 
 Results are deterministic: a corrector task writes only its own node,
 whichever thread pulls it, and colours and counts are applied in
-traversal order, so the thread count changes wall time only.
+breadth-first order, so the thread count changes wall time only.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from .problem import (
     residual_norm,
 )
 from .tree import (
+    UNFINISHED,
     Color,
     TreeNode,
     assign_color,
-    breadth_first_leaves,
+    breadth_first,
     prune_tree,
     secant_direction,
     seed,
@@ -330,22 +331,23 @@ def bootstrap(
 def spawn_round(root: TreeNode, params: RunParams) -> int:
     """Seed predictor children at every eligible leaf, within the budget.
 
-    The budget is the worker budget less the unfinished nodes already in
-    the tree, so a tree whose RED and YELLOW nodes fill it spawns nothing.
-    Leaves are visited breadth first; only leaves above the depth cap
-    spawn.  Each leaf seeds one child per scaling (tree.seed), in the
-    ascending order RunParams stores them, from its current iterate along
-    its secant_direction: one rule for every leaf, the root included.
-    Children whose step magnitude would exceed h_max are skipped.
-    Returns the number of children created.  A child's residual is
-    evaluated in its first corrector round, not here.
+    One breadth-first walk gives the budget, the worker budget less the
+    unfinished nodes already in the tree (so a tree whose RED and YELLOW
+    nodes fill it spawns nothing), and the leaves, visited in walk order;
+    only leaves above the depth cap spawn.  Each leaf seeds one child per
+    scaling (tree.seed), in the ascending order RunParams stores them,
+    from its current iterate along its secant_direction: one rule for
+    every leaf, the root included.  Children whose step magnitude would
+    exceed h_max are skipped.  Returns the number of children created.
+    A child's residual is evaluated in its first corrector round, not here.
     """
-    budget = params.worker_budget - len(unfinished_nodes(root))
+    walk = breadth_first(root)
+    budget = params.worker_budget - sum(n.color in UNFINISHED for n, _ in walk)
     spawned = 0
-    for leaf, depth in breadth_first_leaves(root):
+    for leaf, depth in walk:
         if spawned >= budget:
             break
-        if depth >= params.max_depth:
+        if leaf.children or depth >= params.max_depth:
             continue
         direction = secant_direction(leaf)
         for scale in params.scalings:
@@ -370,7 +372,7 @@ def corrector_round(
     All RED and YELLOW nodes receive exactly one step, computed
     concurrently and joined at a barrier; GREEN nodes are never iterated.
     Each task advances its own node in place (see step).  The nodes are
-    then recolored in traversal order: a node whose step returned False
+    then recolored breadth first: a node whose step returned False
     turns BLACK, and assign_color classifies the rest.  Returns the
     corrector calls the nodes made, the growth of their summed nu.
     """

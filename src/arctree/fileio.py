@@ -20,7 +20,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .params import ParameterError, RunParams
-from .tree import TreeNode, iter_nodes
+from .tree import TreeNode, breadth_first
 
 # Every RunParams field but these three is one KEY value line (see RunParams).
 _KEYS = {
@@ -56,12 +56,14 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
                 )
             key, text = parts
             if key.startswith("SCALE_PROCESS_"):
-                suffix = key[len("SCALE_PROCESS_") :]
-                if not suffix.isdigit():
-                    raise ParameterError(
-                        f"{name}:{lineno}: bad scaling key {key!r}"
-                    )
-                table, slot, convert = scalings, int(suffix), float
+                digits = key[len("SCALE_PROCESS_") :]
+                try:
+                    slot = int(digits) if digits.isascii() and digits.isdigit() else -1
+                except ValueError:  # past int()'s digit limit
+                    slot = -1
+                if slot < 0:
+                    raise ParameterError(f"{name}:{lineno}: bad scaling key {key!r}")
+                table, convert = scalings, float
             elif key in _KEYS:
                 f = _KEYS[key]
                 table, slot, convert = seen, f.name, int if f.type == "int" else float
@@ -152,17 +154,16 @@ def export_dot(
 ) -> Path:
     """Write the tree as Graphviz DOT, one file per round.
 
-    Nodes are written in depth-first order, filled with their color and
-    labeled with the iteration count, step length, and current residual
-    norm.  Edges follow child order.  Returns the file path,
+    Nodes are numbered and written breadth first, filled with their
+    color and labeled with the iteration count, step length, and current
+    residual norm.  Edges follow the same order.  Returns the file path,
     ``tree_<round>.dot`` inside the directory.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ids: dict[TreeNode, int] = {}
+    ids = {node: i for i, (node, _) in enumerate(breadth_first(root))}
     lines = [f"digraph round_{round_index} {{", "  node [style=filled];"]
-    for node in iter_nodes(root):
-        ids[node] = len(ids)
+    for node in ids:
         label = (
             f"nu={node.nu} h={node.h_init:.3g} r={node.residual_norm_current:.3g}"
         )
@@ -170,7 +171,7 @@ def export_dot(
         lines.append(
             f'  n{ids[node]} [label="{label}", fillcolor={node.color.value}{extra}];'
         )
-    for node in iter_nodes(root):
+    for node in ids:
         for child in node.children:
             lines.append(f"  n{ids[node]} -> n{ids[child]};")
     lines.append("}")

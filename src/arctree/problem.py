@@ -144,14 +144,14 @@ def _shaped(value: object, shape: tuple[int, ...], what: str) -> Array:
 def evaluate_residual(
     problem: ProblemDefinition, z: Array, z_base: Array | None = None
 ) -> Array:
-    """Evaluate F(z), checking shapes and finiteness.
+    """Evaluate F(z), checking the output's shape and finiteness.
 
-    An anchored problem is handed z_base, or z itself when it is None.
-    Dimension mismatches are contract errors (ValueError).  Non-finite
-    output raises EvaluationError so callers can fail the affected
-    corrector sequence instead of crashing.
+    z is a float array of n_dim entries: a run checks its start once
+    (engine.check_inputs) and builds every later point itself.  An
+    anchored problem is handed z_base, or z itself when it is None.  A
+    residual of the wrong shape is a ValueError, a non-finite one an
+    EvaluationError, so callers can fail the sequence, not crash.
     """
-    z = _shaped(z, (problem.n_dim,), "point has shape")
     base = (z if z_base is None else z_base,) if problem.anchored else ()
     out = _shaped(
         problem.residual(z, *base), (problem.n_dim - 1,), "residual has shape"
@@ -215,7 +215,6 @@ def bordered_newton_step(
     the Jacobian, the tangent or the gap, reaches the update, which
     corrector_step judges.
     """
-    zeta = np.asarray(zeta, dtype=float)
     n = problem.n_dim
     base = (z_base,) if problem.anchored else ()
     jac = _shaped(problem.jacobian(zeta, *base), (n - 1, n), "jacobian has shape")

@@ -50,6 +50,10 @@ class Color(Enum):
     BLACK = "black"
 
 
+# The colors of a sequence that a corrector round still steps.
+UNFINISHED = (Color.RED, Color.YELLOW)
+
+
 @dataclass(eq=False)
 class TreeNode:
     """State of one speculative corrector sequence.
@@ -160,27 +164,21 @@ def secant_direction(node: TreeNode) -> Array:
     return node.t_init if secant is None else secant
 
 
-def iter_nodes(root: TreeNode):
-    """Yield nodes in depth-first preorder, children in stored order."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+def breadth_first(root: TreeNode) -> list[tuple[TreeNode, int]]:
+    """(node, depth) pairs breadth first, root at depth 0: the one walk.
 
-
-def unfinished_nodes(root: TreeNode) -> list[TreeNode]:
-    """RED and YELLOW nodes in traversal order: those a round still steps."""
-    return [n for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)]
-
-
-def breadth_first_leaves(root: TreeNode) -> list[tuple[TreeNode, int]]:
-    """(leaf, depth) pairs in breadth-first order, root at depth 0."""
+    Children in stored order; reversed, every node follows its descendants.
+    """
     # One pass over a list that grows behind the loop: the breadth-first order.
     order = [(root, 0)]
     for node, depth in order:
         order.extend((child, depth + 1) for child in node.children)
-    return [(node, depth) for node, depth in order if not node.children]
+    return order
+
+
+def unfinished_nodes(root: TreeNode) -> list[TreeNode]:
+    """The UNFINISHED nodes, those a round still steps, breadth first."""
+    return [n for n, _ in breadth_first(root) if n.color in UNFINISHED]
 
 
 def _extend(
@@ -211,12 +209,12 @@ def _path_table(
     A chain is valid when every node on it is GREEN and viable when every
     node is GREEN or YELLOW.  Best means largest summed seed length, with
     ties broken toward the smaller cost and then toward the earlier
-    child.  One loop over the tree in reverse preorder, so each node
+    child.  One loop over the reversed breadth-first walk, so each node
     comes after all of its descendants and extends its children's best
     chains by its own seed step.  The table keeps that order.
     """
     table: dict[TreeNode, tuple[PathMetrics | None, PathMetrics | None]] = {}
-    for node in reversed(list(iter_nodes(root))):
+    for node, _ in reversed(breadth_first(root)):
         valid = viable = None
         if node.color in (Color.GREEN, Color.YELLOW):
             viable = PathMetrics(abs(node.h_init), node.nu, [node])
@@ -313,4 +311,4 @@ def prune_tree(root: TreeNode, params: RunParams) -> int:
 
 
 def count_nodes(root: TreeNode) -> int:
-    return sum(1 for _ in iter_nodes(root))
+    return len(breadth_first(root))

@@ -40,8 +40,8 @@ from arctree.engine import (
 from arctree.problem import bordered_newton_step, residual_norm
 from arctree.tree import (
     Color,
+    breadth_first,
     count_nodes,
-    iter_nodes,
     prune_tree,
     secant_direction,
     seed,
@@ -231,7 +231,7 @@ def test_tree_growth_matches_budget_12_shape():
     pool = WorkerPool(1)
 
     active = lambda: sum(
-        1 for n in iter_nodes(root) if n.color in (Color.RED, Color.YELLOW)
+        1 for n, _ in breadth_first(root) if n.color in (Color.RED, Color.YELLOW)
     )
     assert spawn_round(root, params) == 3
     assert active() == 3

@@ -116,9 +116,18 @@ def parse_error(tmp_path, lines) -> str:
 
 
 def test_parse_rejects_unknown_key(tmp_path):
+    long_suffix = "1" * 5000
     for line, message in [
         ("WIDGET 3", "unknown key 'WIDGET'"),
         ("SCALE_PROCESS_x 1.0", "bad scaling key 'SCALE_PROCESS_x'"),
+        # Only ASCII decimal suffixes name a slot: not a superscript, not
+        # another script's digit, not one past int()'s digit limit.
+        ("SCALE_PROCESS_² 1.0", "bad scaling key 'SCALE_PROCESS_²'"),
+        ("SCALE_PROCESS_١ 1.0", "bad scaling key 'SCALE_PROCESS_١'"),
+        (
+            f"SCALE_PROCESS_{long_suffix} 1.0",
+            f"bad scaling key 'SCALE_PROCESS_{long_suffix}'",
+        ),
     ]:
         lines = valid_lines() + [line]
         assert parse_error(tmp_path, lines) == (

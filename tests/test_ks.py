@@ -364,21 +364,45 @@ def ks128_tree(z0, config):
     return run_continuation(ks_problem(config), params, z0)
 
 
-def nudged_ks_start(nudged):
-    """The packaged KS start, entry nudged (if not None) up by one ulp.
+def nudged_start(name, nudge):
+    """The packaged ks or circle inputs, one start entry nudged by one ulp.
 
+    Returns (problem, params, start).  nudge is None or (index, toward):
+    the entry at index moves to the next float in the direction of toward,
+    np.inf or -np.inf.
     A last-bit change in the start stands in for another CPU's BLAS: a
     count that such a change moves is rounding, not a property of the run.
     """
-    z0, config = load_ks_fixture()
-    if nudged is not None:
-        z0[nudged] = np.nextafter(z0[nudged], np.inf)
-    return z0, config
+    if name == "ks":
+        z0, config = load_ks_fixture()
+        problem, params_file = ks_problem(config), "ks_n128.params"
+    else:
+        z0 = read_initial_point(data_path("circle_start.txt"))
+        problem, params_file = circle_problem(), "circle.params"
+    if nudge is not None:
+        index, toward = nudge
+        z0[index] = np.nextafter(z0[index], toward)
+    return problem, parse_parameters(data_path(params_file)), z0
 
 
-@pytest.mark.parametrize("nudged", [None, 5, 6, 7])
-def test_ks128_tree_counts_survive_a_one_ulp_nudge(nudged):
-    result = ks128_tree(*nudged_ks_start(nudged))
+# The KS start nudged up at entries 5, 6 and 7; the circle start (1, 0)
+# nudged up and down at each entry.  The KS ids predate the circle cases.
+NUDGES = [pytest.param("ks", None, id="None")] + [
+    pytest.param("ks", (i, np.inf), id=str(i)) for i in (5, 6, 7)
+] + [pytest.param("circle", None, id="circle")] + [
+    pytest.param("circle", (i, toward), id=f"circle-{i}-{way}")
+    for i in (0, 1)
+    for toward, way in ((np.inf, "up"), (-np.inf, "down"))
+]
+
+
+@pytest.mark.parametrize("name,nudge", NUDGES)
+def test_ks128_tree_counts_survive_a_one_ulp_nudge(name, nudge):
+    # ks128-tree at worker budget 12, circle-tree at the file's budget.
+    problem, params, z0 = nudged_start(name, nudge)
+    if name == "ks":
+        params = replace(params, worker_budget=12)
+    result = run_continuation(problem, params, z0)
     assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     counts = (
         len(result.accepted_points),
@@ -386,21 +410,19 @@ def test_ks128_tree_counts_survive_a_one_ulp_nudge(nudged):
         result.corrector_steps_total,
         result.failures,
     )
-    assert counts == (76, 127, 1282, 158)
+    assert counts == {"ks": (76, 127, 1282, 158), "circle": (24, 36, 149, 0)}[name]
 
 
-@pytest.mark.parametrize("nudged", [None, 5, 6, 7])
-def test_ks128_serial_counts_survive_a_one_ulp_nudge(nudged):
-    z0, config = nudged_ks_start(nudged)
-    params = parse_parameters(data_path("ks_n128.params"))
-    result = serial_pac(ks_problem(config), params, z0)
+@pytest.mark.parametrize("name,nudge", NUDGES)
+def test_ks128_serial_counts_survive_a_one_ulp_nudge(name, nudge):
+    result = serial_pac(*nudged_start(name, nudge))
     assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     counts = (
         len(result.accepted_points),
         result.corrector_steps_total,
         result.failures,
     )
-    assert counts == (259, 794, 5)
+    assert counts == {"ks": (259, 794, 5), "circle": (20, 57, 0)}[name]
 
 
 def test_ks128_tree_points_polish_under_the_nonconservative_form():

@@ -11,6 +11,10 @@ failure:
 - probe.py runs the CLI's parser, parse_parameters, read_initial_point
   and the positional resolve_problem(spec, params, z0, amplitude), then
   a one-argument problem.residual(z0).
+- layertrace.py reads what the round phases return: spawn_round's int,
+  the n_workers of corrector_round's 4th argument (the pool), the root
+  as prune_tree's first argument and advance_root(...)[1]; a traced CLI
+  run must give the untraced run's counts, four phases a round.
 """
 
 import importlib
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arctree.cli import build_parser
+from arctree.cli import build_parser, main
 from arctree.problems import KsConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,7 +45,8 @@ def load_bench(name: str):
     return module
 
 
-TARGETS = load_bench("layertrace").TARGETS
+LAYERTRACE = load_bench("layertrace")
+TARGETS = LAYERTRACE.TARGETS
 WORKLOADS = load_bench("workloads").WORKLOADS
 
 
@@ -83,3 +88,30 @@ def test_probe_readies_the_problem_from_src(workload, tmp_path):
     where, ready = proc.stdout.split()
     assert Path(where).is_relative_to(ROOT / "src")
     assert float(ready) > 0.0
+
+
+@pytest.mark.parametrize(
+    "workload,figures",
+    [
+        (
+            "circle-tree",
+            dict(rounds=36, corrector_steps=149, engine_steps=149, spawned=77,
+                 emitted=23, pruned=53),
+        ),
+        (
+            "ks128-tree",
+            dict(rounds=127, corrector_steps=1282, engine_steps=1282, spawned=653,
+                 emitted=75, pruned=572),
+        ),
+        ("ks128-serial", dict(rounds=0, engine_steps=794)),
+    ],
+)
+def test_traced_run_reads_the_round_phases(workload, figures, tmp_path, capsys):
+    with LAYERTRACE.LayerTrace() as trace:
+        code = main(WORKLOADS[workload].argv(ROOT, tmp_path))
+    assert code == 0, capsys.readouterr().err
+    assert trace.missing == []
+    layer = LAYERTRACE.summarize(trace.take(), wall=1.0)
+    assert {key: layer[key] for key in figures} == figures
+    # Every round ran all four phases.
+    assert len(layer["round_times"]) == layer["rounds"]

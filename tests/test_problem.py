@@ -38,11 +38,6 @@ def no_jacobian(z):
 
 
 def test_evaluate_residual_shape_and_finiteness():
-    problem = circle_problem()
-    with pytest.raises(
-        ValueError, match=exactly("point has shape (3,), expected (2,)")
-    ):
-        evaluate_residual(problem, np.zeros(3))
     bad = ProblemDefinition(
         n_dim=2,
         lambda_index=1,

@@ -13,11 +13,10 @@ from arctree.tree import (
     TreeNode,
     _extend,
     assign_color,
-    breadth_first_leaves,
+    breadth_first,
     choose_best_path,
     compute_paths,
     count_nodes,
-    iter_nodes,
     prune_tree,
     reduce_base_step,
     secant_direction,
@@ -125,8 +124,13 @@ def test_breadth_first_leaves_carry_their_depth():
     )
     inner.children = [leaf2, leaf3]
     root.children = [inner, leaf1]
-    assert breadth_first_leaves(root) == [(leaf1, 1), (leaf2, 2), (leaf3, 2)]
-    assert breadth_first_leaves(leaf1) == [(leaf1, 0)]
+    walk = breadth_first(root)
+    assert walk == [(root, 0), (inner, 1), (leaf1, 1), (leaf2, 2), (leaf3, 2)]
+    # The leaves, and their order, that spawn_round seeds.
+    assert [(n, d) for n, d in walk if not n.children] == [
+        (leaf1, 1), (leaf2, 2), (leaf3, 2)
+    ]
+    assert breadth_first(leaf1) == [(leaf1, 0)]
 
 
 def test_reduce_base_step_factor():
@@ -261,7 +265,7 @@ def test_prune_removes_black_subtrees_first():
     params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
     prune_tree(f.root, params)
     assert f.a not in f.root.children
-    assert all(n.color is not Color.BLACK for n in iter_nodes(f.root))
+    assert all(n.color is not Color.BLACK for n, _ in breadth_first(f.root))
 
 
 def test_prune_reduces_base_step_when_all_children_fail():
@@ -346,14 +350,14 @@ def random_tree(draw, depth=0):
 def test_prune_invariants(root):
     params = make_params(scalings=(0.25, 1.0, 1.5), h_max=2000.0, h_init=0.1)
     before = count_nodes(root)
-    black = sum(1 for n in iter_nodes(root) if n.color is Color.BLACK)
+    black = sum(1 for n, _ in breadth_first(root) if n.color is Color.BLACK)
     # Each node's base step, and whether it has children, all of them BLACK.
     state = {
         n: (n.h_base, bool(n.children) and all(c.color is Color.BLACK for c in n.children))
-        for n in iter_nodes(root)
+        for n, _ in breadth_first(root)
     }
     assert prune_tree(root, params) == black
-    survivors = list(iter_nodes(root))
+    survivors = [n for n, _ in breadth_first(root)]
     assert count_nodes(root) <= before
     assert survivors[0] is root
     # the base step changes exactly on the survivors whose children all failed
@@ -371,7 +375,7 @@ def test_prune_invariants(root):
 @settings(max_examples=60, deadline=None)
 @given(root=random_tree())
 def test_path_metrics_invariants(root):
-    for node in iter_nodes(root):
+    for node, _ in breadth_first(root):
         valid, viable = compute_paths(node)
         for metrics in (valid, viable):
             if metrics is None:
@@ -525,8 +529,8 @@ def test_prune_tree_matches_recursive_walk(first):
         assert prune_tree(root, params) == recursive_prune_tree(oracle_root, params)
         index = {node: i for i, node in enumerate(nodes)}
         oracle_index = {node: i for i, node in enumerate(oracle_nodes)}
-        survivors = [index[n] for n in iter_nodes(root)]
-        assert survivors == [oracle_index[n] for n in iter_nodes(oracle_root)]
+        survivors = [index[n] for n, _ in breadth_first(root)]
+        assert survivors == [oracle_index[n] for n, _ in breadth_first(oracle_root)]
         for i in survivors:
             assert [index[c] for c in nodes[i].children] == [
                 oracle_index[c] for c in oracle_nodes[i].children
