@@ -13,13 +13,17 @@ from next_step, the step rule serial-pac shares.
 
 Results are deterministic: a corrector task writes only its own node,
 whichever thread pulls it, and colours and counts are applied in
-breadth-first order, so the thread count changes wall time only.
+breadth-first order, so the thread count changes wall time only.  On
+more than one worker the tasks of a round take turns at the Python half
+of a bordered Newton step, and only the LU factorizations, which run
+without the GIL, overlap (see corrector_round).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +41,7 @@ from .problem import (
     EvaluationError,
     ProblemDefinition,
     corrector_step,
+    current_turn,
     evaluate_residual,
     residual_norm,
 )
@@ -93,7 +98,8 @@ class WorkerPool:
     task's result.  The pool catches nothing: a task's exception ends its
     thread's loop and propagates once the others run out of tasks.
     Thread count changes wall time only, never the results.  n_workers
-    below 1 raises ValueError.
+    below 1 raises ValueError.  The pool holds no lock of its own: what
+    its tasks share, such as a corrector round's turn, they take per task.
     """
 
     def __init__(self, n_workers: int = 1):
@@ -375,10 +381,31 @@ def corrector_round(
     then recolored breadth first: a node whose step returned False
     turns BLACK, and assign_color classifies the rest.  Returns the
     corrector calls the nodes made, the growth of their summed nu.
+
+    On more than one worker, a problem stepped by bordered_newton_step
+    has each task hold the round's turn, one lock, while it steps its
+    node; the step lets it go only while LAPACK factors.  So one thread
+    at a time runs the Python and short numpy calls of a step, which
+    would otherwise hand the GIL to and fro on nearly every call, and
+    the factorizations overlap with the other threads' work.  A custom
+    corrector has no such point to let the turn go, so its tasks take
+    none.
     """
     targets = unfinished_nodes(root)
     calls = -sum(node.nu for node in targets)
-    outcomes = pool.map(step, [(problem, n) for n in targets])
+    task = step
+    if pool.n_workers > 1 and problem.corrector is None:
+        turn = threading.Lock()
+
+        def task(problem: ProblemDefinition, node: TreeNode) -> bool:
+            with turn:
+                current_turn.lock = turn
+                try:
+                    return step(problem, node)
+                finally:
+                    current_turn.lock = None
+
+    outcomes = pool.map(task, [(problem, n) for n in targets])
     for node, stepped in zip(targets, outcomes):
         calls += node.nu
         node.color = assign_color(node, params) if stepped else Color.BLACK

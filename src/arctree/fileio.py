@@ -29,9 +29,20 @@ _KEYS = {
     if f.name not in ("scalings", "worker_budget", "round_limit")
 }
 
+# A ParameterError quotes at most this many characters of a key, value
+# or line, so one runaway line cannot make a message of any length.
+_QUOTE_LIMIT = 40
+
 
 def _format_float(x: float) -> str:
     return "%.17g" % x
+
+
+def _quote(text: str, form=repr) -> str:
+    """form(text); past _QUOTE_LIMIT characters, "form(head)… (<n> characters)"."""
+    if len(text) <= _QUOTE_LIMIT:
+        return form(text)
+    return f"{form(text[:_QUOTE_LIMIT])}… ({len(text)} characters)"
 
 
 def parse_parameters(path: str | os.PathLike) -> RunParams:
@@ -39,7 +50,9 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
 
     Raises ParameterError naming the file as given and the offending key
     and line for unknown keys, duplicates, bad numbers, missing keys, or
-    scalings other than SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1}.
+    scalings other than SCALE_PROCESS_0 .. SCALE_PROCESS_{W-1}.  The file
+    and line come first; a key, value or line is quoted up to 40
+    characters, then "…" and its full length.
     """
     name = os.fspath(path)
     seen: dict[str, float | int] = {}  # by field name
@@ -52,7 +65,8 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
             parts = line.split()
             if len(parts) != 2:
                 raise ParameterError(
-                    f"{name}:{lineno}: expected 'KEY value', got {raw.strip()!r}"
+                    f"{name}:{lineno}: expected 'KEY value', "
+                    f"got {_quote(raw.strip())}"
                 )
             key, text = parts
             if key.startswith("SCALE_PROCESS_"):
@@ -62,20 +76,22 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
                 except ValueError:  # past int()'s digit limit
                     slot = -1
                 if slot < 0:
-                    raise ParameterError(f"{name}:{lineno}: bad scaling key {key!r}")
+                    raise ParameterError(
+                        f"{name}:{lineno}: bad scaling key {_quote(key)}"
+                    )
                 table, convert = scalings, float
             elif key in _KEYS:
                 f = _KEYS[key]
                 table, slot, convert = seen, f.name, int if f.type == "int" else float
             else:
-                raise ParameterError(f"{name}:{lineno}: unknown key {key!r}")
+                raise ParameterError(f"{name}:{lineno}: unknown key {_quote(key)}")
             if slot in table:
-                raise ParameterError(f"{name}:{lineno}: duplicate key {key!r}")
+                raise ParameterError(f"{name}:{lineno}: duplicate key {_quote(key)}")
             try:
                 table[slot] = convert(text)
             except ValueError as exc:
                 raise ParameterError(
-                    f"{name}:{lineno}: bad value for {key}: {text!r}"
+                    f"{name}:{lineno}: bad value for {_quote(key, str)}: {_quote(text)}"
                 ) from exc
 
     missing = sorted(
@@ -88,7 +104,9 @@ def parse_parameters(path: str | os.PathLike) -> RunParams:
     # The slots are distinct, so MAX_CHILDREN of them all below MAX_CHILDREN
     # are exactly 0 .. MAX_CHILDREN-1; nothing MAX_CHILDREN long is built.
     if len(scalings) != max(n_children, 0) or any(k >= n_children for k in scalings):
-        got = ", ".join(f"SCALE_PROCESS_{i}" for i in sorted(scalings)) or "none"
+        got = ", ".join(
+            _quote(f"SCALE_PROCESS_{i}", str) for i in sorted(scalings)
+        ) or "none"
         raise ParameterError(
             f"{name}: need SCALE_PROCESS_0 .. SCALE_PROCESS_{n_children - 1} "
             f"to match MAX_CHILDREN={n_children}, got: {got}"
@@ -131,7 +149,9 @@ def read_initial_point(path: str | os.PathLike) -> np.ndarray:
 
 
 def format_point(z: np.ndarray) -> str:
-    return " ".join(_format_float(v) for v in np.asarray(z).ravel())
+    """The values of z as one line of "%.17g" numbers, space-separated."""
+    values = np.asarray(z).ravel().tolist()
+    return ("%.17g " * len(values))[:-1] % tuple(values)
 
 
 def write_curve_point(fh: IO[str], z: np.ndarray) -> None:

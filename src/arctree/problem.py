@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
@@ -72,6 +73,19 @@ def _load_flapack() -> ModuleType:
 
 _flapack = _load_flapack()
 dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+
+
+class _Turn(threading.local):
+    """The calling thread's turn: the corrector round's lock while the
+    thread holds it to step a node, else None.  bordered_newton_step lets
+    it go while getrf factors, which runs without the GIL, so another
+    thread's step proceeds meanwhile (see engine.corrector_round).
+    """
+
+    lock: threading.Lock | None = None
+
+
+current_turn = _Turn()
 
 # Pivot threshold, relative to the largest pivot, at or below which the
 # bordered corrector matrix is treated as numerically singular.
@@ -213,7 +227,8 @@ def bordered_newton_step(
     CorrectorFailure("singular bordered system"), which catches an
     all-zero matrix and an infinite pivot.  Any other NaN or infinity, in
     the Jacobian, the tangent or the gap, reaches the update, which
-    corrector_step judges.
+    corrector_step judges.  A thread that holds a turn lets it go for
+    the factorization alone and takes it back before anything else.
     """
     n = problem.n_dim
     base = (z_base,) if problem.anchored else ()
@@ -221,7 +236,15 @@ def bordered_newton_step(
     matrix = np.empty((n, n), order="F")
     matrix[:-1] = jac
     matrix[-1] = tangent
-    lu, piv = lu_factor(matrix)
+    turn = current_turn.lock
+    if turn is None:
+        lu, piv = lu_factor(matrix)
+    else:
+        turn.release()
+        try:
+            lu, piv = lu_factor(matrix)
+        finally:
+            turn.acquire()
     pivots = np.abs(lu.diagonal())
     if pivots.min() <= SINGULAR_PIVOT_RTOL * pivots.max():
         raise CorrectorFailure("singular bordered system")

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import time
 import zlib
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from arctree import (
     serial_pac,
 )
 from arctree import engine
+from arctree import problem as problem_module
 from arctree.engine import (
     WorkerPool,
     advance_root,
@@ -464,6 +466,125 @@ def test_worker_pool_propagates_other_errors_from_a_helper(n_workers):
                 with pytest.raises(type(error), match=str(error)):
                     pool.map(fn, [(i,) for i in range(n_tasks)])
             assert served == set(range(n_tasks))
+
+
+# ---------------------------------------------------------------------------
+# Turns: on several workers, one step's Python half runs at a time
+# ---------------------------------------------------------------------------
+
+
+class Overlap:
+    """Wraps fn, sleeping pause seconds first; most counts the calls seen
+    running at once.  The sleep lets the GIL go, as a long numpy or
+    LAPACK call does."""
+
+    def __init__(self, fn, pause: float):
+        self.fn, self.pause = fn, pause
+        self.running = self.most = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args):
+        with self._lock:
+            self.running += 1
+            self.most = max(self.most, self.running)
+        try:
+            time.sleep(self.pause)
+            return self.fn(*args)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+def sleepy_circle_run(n_workers: int) -> tuple[Overlap, tuple[int, int, int]]:
+    """The packaged circle, its Jacobian sleeping 0.5 ms: the probe and
+    the run's points, rounds and steps."""
+    inner = circle_problem()
+    jacobian = Overlap(inner.jacobian, 0.5e-3)
+    params = parse_parameters(data_path("circle.params"))
+    z0 = read_initial_point(data_path("circle_start.txt"))
+    result = run_continuation(
+        replace(inner, jacobian=jacobian), params, z0, n_workers=n_workers
+    )
+    counts = (
+        len(result.accepted_points),
+        result.rounds_executed,
+        result.corrector_steps_total,
+    )
+    return jacobian, counts
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_one_jacobian_runs_at_a_time_on_any_worker_count(n_workers):
+    jacobian, counts = sleepy_circle_run(n_workers)
+    assert jacobian.most == 1
+    assert counts == (24, 36, 149)
+
+
+def test_factorizations_overlap_on_two_workers(monkeypatch):
+    # The turn is let go while LAPACK factors, so a second task steps
+    # up to its own factorization meanwhile.
+    lu = Overlap(problem_module.lu_factor, 2e-3)
+    monkeypatch.setattr(problem_module, "lu_factor", lu)
+    jacobian, counts = sleepy_circle_run(2)
+    assert (jacobian.most, lu.most) == (1, 2)
+    assert counts == (24, 36, 149)
+
+
+def test_a_custom_corrector_takes_no_turn():
+    # One node's corrector waits for the other's.  Had the round given
+    # them a turn, the first would wait out its timeout alone.
+    met = threading.Event()
+    waits = []
+    inner = slow_problem()
+
+    def corrector(zeta, tangent, z_base, h):
+        if h == 0.1:
+            waits.append(met.wait(timeout=2.0))
+        else:
+            met.set()
+        return inner.corrector(zeta, tangent, z_base, h)
+
+    root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
+    root.children = [make_node(Color.RED, nu=0, h_init=h) for h in (0.1, 0.2)]
+    problem = replace(inner, corrector=corrector)
+    with WorkerPool(2) as pool:
+        assert corrector_round(root, problem, make_params(), pool) == 2
+    assert waits == [True]
+
+
+def test_an_error_in_a_step_lets_the_turn_go():
+    inner = circle_problem()
+    turns = []
+    refuse = [True]
+
+    def jacobian(z):
+        turns.append(problem_module.current_turn.lock)
+        if refuse[0] and z[1] == 0.2:
+            raise ValueError("jacobian refused")
+        return inner.jacobian(z)
+
+    problem = replace(inner, jacobian=jacobian)
+    params = make_params()
+    root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
+    start, axis = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    root.children = [seed(start, axis, h) for h in (0.1, 0.2, 0.3)]
+    gate = threading.Barrier(3, timeout=5.0)
+
+    def held_turn():
+        # Each of the three threads holds one task until all three do.
+        gate.wait()
+        return problem_module.current_turn.lock
+
+    with WorkerPool(3) as pool:
+        with pytest.raises(ValueError, match="jacobian refused"):
+            corrector_round(root, problem, params, pool)
+        turn = turns[0]
+        assert isinstance(turn, type(threading.Lock()))
+        assert all(t is turn for t in turns) and not turn.locked()
+        assert pool.map(held_turn, [()] * 3) == [None, None, None]
+        refuse[0] = False
+        assert corrector_round(root, problem, params, pool) == 3
+    assert problem_module.current_turn.lock is None
 
 
 def test_worker_count_below_one_is_rejected():

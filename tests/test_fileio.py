@@ -18,6 +18,7 @@ from arctree import (
     read_initial_point,
     write_curve,
 )
+from arctree.fileio import format_point
 from arctree.tree import Color
 from conftest import make_node, make_params
 
@@ -126,7 +127,7 @@ def test_parse_rejects_unknown_key(tmp_path):
         ("SCALE_PROCESS_١ 1.0", "bad scaling key 'SCALE_PROCESS_١'"),
         (
             f"SCALE_PROCESS_{long_suffix} 1.0",
-            f"bad scaling key 'SCALE_PROCESS_{long_suffix}'",
+            f"bad scaling key 'SCALE_PROCESS_{long_suffix[:26]}'… (5014 characters)",
         ),
     ]:
         lines = valid_lines() + [line]
@@ -153,6 +154,29 @@ def test_parse_rejects_bad_value(tmp_path):
         assert parse_error(tmp_path, lines) == (
             f"{tmp_path / 'bad.params'}:{index + 1}: bad value for {key}: {text!r}"
         )
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("X" * 5000 + " 1.0", "unknown key 'XXXX"),
+        ("SCALE_PROCESS_" + "1" * 4000 + " 1.0", "need SCALE_PROCESS_0 .. "),
+        ("SCALE_PROCESS_" + "1" * 4000 + " abc", "bad value for SCALE_PROCESS_1111"),
+        ("VERBOSE " + "x" * 5000, "bad value for VERBOSE: 'xxxx"),
+        ("MU 0.5 " + "x" * 5000, "expected 'KEY value', got 'MU 0.5 xxxx"),
+    ],
+    ids=["key", "slot", "scaling-value", "value", "line"],
+)
+def test_parse_errors_quote_at_most_40_characters(tmp_path, line, message):
+    # A key, value or line is cut to 40 characters, then its full length.
+    lines = valid_lines() + [line]
+    text = parse_error(tmp_path, lines)
+    where = f"{tmp_path / 'bad.params'}:"
+    if not message.startswith("need"):  # a count error has no one line
+        where += f"{len(lines)}:"
+    assert text.startswith(f"{where} {message}")
+    assert len(text) - len(where) < 200
+    assert re.search(r"… \(\d{4} characters\)", text)
 
 
 def test_parse_rejects_malformed_line(tmp_path):
@@ -216,6 +240,14 @@ def test_parse_rejects_invalid_combination(tmp_path):
 # ---------------------------------------------------------------------------
 # Curve and point files
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+def test_format_point_equals_the_per_value_join(bits):
+    # Every float64 bit pattern, NaNs and infinities included.
+    z = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert format_point(z) == " ".join("%.17g" % v for v in z)
 
 
 @settings(max_examples=60, deadline=None)
