@@ -18,7 +18,10 @@ Two problems ship with the package:
   solution, as AUTO does: each corrector sequence's own base point.  The
   sin(u) term breaks Galilean invariance so the wave speed is well
   defined, and the branch has several folds, which makes it a demanding
-  continuation target.
+  continuation target.  Its residual and Jacobian read D1 w, D2 w and
+  D4 w from ks_derivatives, one bounded, thread-safe cache keyed by the
+  profile's content, so a corrector step forms them once per new point
+  and reads its base's phase gradient from the same cache.
 """
 
 from __future__ import annotations
@@ -144,15 +147,41 @@ class KsConfig:
         return self.n_grid + 1
 
 
+@lru_cache(maxsize=128)
+def _derivatives(n: int, profile: bytes) -> Array:
+    """D1 w, D2 w and D4 w stacked, w the float64 profile held in bytes."""
+    out = np.dot(ks_operators(n).rows, np.frombuffer(profile))
+    out.setflags(write=False)
+    return out
+
+
+def ks_derivatives(n: int, w: Array) -> Array:
+    """D1 w, D2 w and D4 w stacked in one read-only array of 3n entries.
+
+    One product by the rows of KsOperators, memoized by content: the key
+    is n and the bytes of w converted to float64, so an edited profile is
+    a new key and a float32, int or strided w gets the numbers of its
+    float64 copy.  A corrector step asks for the same profile several
+    times (its residual, its Jacobian, and its base's D1 w as the phase
+    gradient), so each new profile costs one product.  The cache is
+    bounded (128 profiles, least recently used out), shared by every
+    thread and safe to call from several at once: a race computes the
+    same bits twice.
+    """
+    return _derivatives(n, np.asarray(w, dtype=float).tobytes())
+
+
 def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Array:
     """PDE rows on the grid plus one phase-pinning row.
 
     The quadratic term w w' is taken in conservative form, (1/2) (w^2)',
     through the dealiased first derivative; all derivatives are
-    spectral.  The phase row is the inner product of (w - w_ref) with
-    w_ref', scaled by 1/n so its magnitude is grid-size independent.
-    w_ref is the profile of the base point z_base, or of z itself when
-    no base is given; anchored at z, the row is exactly 0.0.
+    spectral, D1 w, D2 w and D4 w read from ks_derivatives.  The phase
+    row is the inner product of (w - w_ref) with w_ref', scaled by 1/n so
+    its magnitude is grid-size independent.  w_ref is the profile of the
+    base point z_base, or of z itself when no base is given; anchored at
+    z, the row is exactly 0.0.  w_ref' is the first block of w_ref's
+    ks_derivatives.
     """
     n = config.n_grid
     ops = ks_operators(n)
@@ -160,26 +189,20 @@ def ks_residual(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
-    # np.dot, unlike matmul, releases the GIL in its matrix-vector
-    # products, so worker threads can evaluate residuals side by side.
-    # D1 w, D2 w and D4 w come from one product with the rows of D1, D2, D4.
-    derivs = np.dot(ops.rows, w)
-    d1w, d2w, d4w = derivs[:n], derivs[n : 2 * n], derivs[2 * n :]
+    derivs = ks_derivatives(n, w)
     out = np.empty(n + 1)
     pde = out[:n]
     # The terms are summed in the order
     #   (1/2) d1_dealiased (w w) - c D1 w + D2 w + lam D4 w - A sin(w).
     np.dot(ops.d1_dealiased, w * w, out=pde)
     pde *= 0.5
-    d1w *= -c
-    pde += d1w
-    pde += d2w
-    d4w *= lam
-    pde += d4w
+    pde -= c * derivs[:n]
+    pde += derivs[n : 2 * n]
+    pde += lam * derivs[2 * n :]
     forcing = np.sin(w)
     forcing *= config.amplitude
     pde -= forcing
-    out[n] = np.dot(w - ref, np.dot(ops.d1, ref)) / n
+    out[n] = np.dot(w - ref, ks_derivatives(n, ref)[:n]) / n
     return out
 
 
@@ -192,11 +215,12 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     The matrix is dense because of the sin(w) term.  Columns are ordered
     (w, c, lambda) to match the state layout.  The state block is
 
-        -c D1 + D2 + lam D4 + d1_dealiased diag(w) - A diag(cos w),
+        d1_dealiased diag(w) + (-c D1 + D2 + lam D4) - A diag(cos w),
 
-    the first three terms one product by the flattened derivative
-    operators (see KsOperators), the fourth d1_dealiased with its
-    columns scaled.
+    d1_dealiased with its columns scaled, then one product by the
+    flattened derivative operators (see KsOperators), built in one
+    contiguous buffer and copied into place once.  The c and lambda
+    columns, -D1 w and D4 w, and w_ref' are read from ks_derivatives.
     """
     n = config.n_grid
     ops = ks_operators(n)
@@ -204,18 +228,16 @@ def ks_jacobian(config: KsConfig, z: Array, z_base: Array | None = None) -> Arra
     w = z[:n]
     c = z[n]
     lam = z[n + 1]
-    # Every product goes through np.dot, which releases the GIL.
-    derivs = np.dot(ops.rows, w)
-    d1w, d4w = derivs[:n], derivs[2 * n :]
+    derivs = ks_derivatives(n, w)
+    state = np.multiply(ops.d1_dealiased, w)
+    state += np.dot(np.array([-c, 1.0, lam]), ops.flat).reshape(n, n)
+    # The diagonal, every (n + 1)-th entry of the flat buffer.
+    state.reshape(-1)[:: n + 1] -= config.amplitude * np.cos(w)
     out = np.empty((n + 1, n + 2))
-    j_ww = out[:n, :n]
-    np.multiply(ops.d1_dealiased, w, out=j_ww)
-    j_ww += np.dot(np.array([-c, 1.0, lam]), ops.flat).reshape(n, n)
-    # The diagonal, every (n + 3)-th entry of the flat buffer.
-    out.reshape(-1)[: n * (n + 3) : n + 3] -= config.amplitude * np.cos(w)
-    np.negative(d1w, out=out[:n, n])
-    out[:n, n + 1] = d4w
-    np.divide(np.dot(ops.d1, ref), n, out=out[n, :n])
+    out[:n, :n] = state
+    np.negative(derivs[:n], out=out[:n, n])
+    out[:n, n + 1] = derivs[2 * n :]
+    np.divide(ks_derivatives(n, ref)[:n], n, out=out[n, :n])
     out[n, n:] = 0.0
     return out
 

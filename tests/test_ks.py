@@ -27,6 +27,7 @@ from arctree import (
 from arctree.problem import evaluate_residual
 from arctree.problems import (
     grid,
+    ks_derivatives,
     ks_jacobian,
     ks_operators,
     ks_residual,
@@ -126,28 +127,34 @@ def test_residual_matches_hand_computation_on_a_sine():
     assert rows[:n] == pytest.approx(expected, abs=5e-9)
 
 
+def term_by_term_residual(config, z, ref):
+    """ks_residual written as one product per operator, anchored at ref.
+
+    The terms are summed in ks_residual's order, so the bits must agree.
+    """
+    n = config.n_grid
+    ops = ks_operators(n)
+    w, c, lam = z[:n], z[n], z[n + 1]
+    pde = (
+        0.5 * (ops.d1_dealiased @ (w * w))
+        - c * (ops.d1 @ w)
+        + ops.d2 @ w
+        + lam * (ops.d4 @ w)
+        - config.amplitude * np.sin(w)
+    )
+    phase = float((w - ref) @ (ops.d1 @ ref)) / n
+    return np.concatenate([pde, [phase]])
+
+
 def test_residual_equals_the_term_by_term_formula():
     # The stacked product keeps the arithmetic of one product per
     # operator, so the bits must agree, with the phase anchored at a base.
     z0, config = load_ks_fixture()
     n = config.n_grid
-    ops = ks_operators(n)
-    d1, d2, d4 = ops.d1, ops.d2, ops.d4
     rng = np.random.default_rng(3)
     base = z0 + 0.01 * rng.standard_normal(z0.shape)
-    ref = base[:n]
     for z in (z0, z0 + 1e-2 * rng.standard_normal(z0.shape)):
-        w, c, lam = z[:n], z[n], z[n + 1]
-        d1w = d1 @ w
-        pde = (
-            0.5 * (ops.d1_dealiased @ (w * w))
-            - c * d1w
-            + d2 @ w
-            + lam * (d4 @ w)
-            - config.amplitude * np.sin(w)
-        )
-        phase = float((w - ref) @ (d1 @ ref)) / n
-        expected = np.concatenate([pde, [phase]])
+        expected = term_by_term_residual(config, z, base[:n])
         assert np.array_equal(ks_residual(config, z, base), expected)
 
 
@@ -244,6 +251,127 @@ def test_jacobian_matches_the_dense_formula():
         dense = dense_ks_jacobian(config, z, base[:128])
         assert fused.shape == dense.shape == (129, 130)
         assert np.abs(fused - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def term_by_term_jacobian(config, z, ref):
+    """ks_jacobian written as one product per operator, anchored at ref.
+
+    The state block is d1_dealiased with its columns scaled by w, plus
+    the [-c, 1, lam] product by the flattened operators, minus
+    A cos w on the diagonal, in ks_jacobian's order, so the bits must
+    agree; the c and lambda columns are -D1 w and D4 w, and the phase
+    row is (D1 ref) / n.
+    """
+    n = config.n_grid
+    ops = ks_operators(n)
+    w, c, lam = z[:n], z[n], z[n + 1]
+    state = ops.d1_dealiased * w
+    state += (np.array([-c, 1.0, lam]) @ ops.flat).reshape(n, n)
+    state[np.diag_indices(n)] -= config.amplitude * np.cos(w)
+    top = np.hstack([state, -(ops.d1 @ w)[:, None], (ops.d4 @ w)[:, None]])
+    phase_row = np.zeros(n + 2)
+    phase_row[:n] = (ops.d1 @ ref) / n
+    return np.vstack([top, phase_row[None, :]])
+
+
+def test_jacobian_equals_the_term_by_term_formula():
+    z0, config = load_ks_fixture()
+    n = config.n_grid
+    rng = np.random.default_rng(17)
+    points = [z0, z0 + 1e-2 * rng.standard_normal(z0.shape)]
+    points[1][n] = 0.3  # a non-zero wave speed exercises the c D1 term
+    bases = [z0, points[1], z0 + 1e-2 * rng.standard_normal(z0.shape)]
+    for z in points:
+        for base in bases:
+            expected = term_by_term_jacobian(config, z, base[:n])
+            assert np.array_equal(ks_jacobian(config, z, base), expected)
+
+
+@pytest.mark.parametrize("kind", ["float32", "int", "strided"])
+def test_any_point_array_gets_the_term_by_term_bits(kind):
+    # The derivatives are memoized by the float64 bytes of the profile, so
+    # a point of another dtype or layout must still get the numbers numpy
+    # gives it term by term, where the other terms keep its own dtype.
+    z0, config = load_ks_fixture()
+    n = config.n_grid
+    rng = np.random.default_rng(19)
+    z = z0 + 1e-2 * rng.standard_normal(z0.shape)
+    z[n] = 0.3
+    if kind == "float32":
+        z = z.astype(np.float32)
+    elif kind == "int":
+        z = np.round(8 * z).astype(int)
+    else:
+        wide = np.zeros(2 * z.size)
+        wide[::2] = z
+        z = wide[::2]
+    for base in (z, z0):
+        ref = base[:n]
+        assert np.array_equal(
+            ks_residual(config, z, base), term_by_term_residual(config, z, ref)
+        )
+        assert np.array_equal(
+            ks_jacobian(config, z, base), term_by_term_jacobian(config, z, ref)
+        )
+
+
+def test_memoized_derivatives_are_read_only_and_bounded():
+    z0, config = load_ks_fixture()
+    n = config.n_grid
+    derivs = ks_derivatives(n, z0[:n])
+    assert np.array_equal(derivs, np.dot(ks_operators(n).rows, z0[:n]))
+    assert ks_derivatives(n, z0[:n].copy()) is derivs
+    with pytest.raises(ValueError):
+        derivs[0] = 1.0
+    with pytest.raises(ValueError):
+        derivs *= 2.0
+    assert 0 < arctree.problems._derivatives.cache_info().maxsize < math.inf
+
+
+def test_an_edited_point_is_never_served_a_stale_result():
+    # The memo is keyed by content, so a point or base edited in place,
+    # after both were evaluated, gets the bits of the edited values.
+    z0, config = load_ks_fixture()
+    n = config.n_grid
+    rng = np.random.default_rng(23)
+    z, base = z0.copy(), z0.copy()
+    for fn in (ks_residual, ks_jacobian):
+        fn(config, z, base)
+    z[:n] += 1e-3 * rng.standard_normal(n)
+    base[5] += 1e-3
+    assert np.array_equal(
+        ks_residual(config, z, base), term_by_term_residual(config, z, base[:n])
+    )
+    assert np.array_equal(
+        ks_jacobian(config, z, base), term_by_term_jacobian(config, z, base[:n])
+    )
+
+
+def test_a_run_computes_each_profile_once_and_reuses_none_across_runs(monkeypatch):
+    # Within a ks128-tree run every profile is computed once, however often
+    # a step asks for it; a second identical run misses exactly as often,
+    # so nothing a run computed serves the next.
+    z0, config = load_ks_fixture()
+    params = replace(
+        parse_parameters(data_path("ks_n128.params")), worker_budget=12, round_limit=40
+    )
+    memo = arctree.problems._derivatives
+    keys = []
+
+    def spy(n, profile):
+        keys.append(profile)
+        return memo(n, profile)
+
+    monkeypatch.setattr(arctree.problems, "_derivatives", spy)
+    memo.cache_clear()  # of the profiles earlier tests left
+    misses = []
+    for _ in range(2):
+        keys.clear()
+        before = memo.cache_info().misses
+        run_continuation(ks_problem(config), params, z0)
+        misses.append(memo.cache_info().misses - before)
+        assert misses[-1] == len(set(keys)) < len(keys)
+    assert misses[0] == misses[1]
 
 
 def test_carried_residuals_are_never_stale(monkeypatch):
