@@ -41,7 +41,6 @@ from .problem import (
     EvaluationError,
     ProblemDefinition,
     corrector_step,
-    current_turn,
     evaluate_residual,
     residual_norm,
 )
@@ -161,7 +160,9 @@ def stop_reason(
     return None
 
 
-def step(problem: ProblemDefinition, node: TreeNode) -> bool:
+def step(
+    problem: ProblemDefinition, node: TreeNode, turn: threading.Lock | None = None
+) -> bool:
     """Call the corrector once on the node's sequence, in place.
 
     The one place a step failure is caught; none is raised.  F is taken
@@ -172,7 +173,8 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool:
     the previous one before it is made.  A failed call, or a non-finite
     residual at the new iterate, returns False and keeps the iterate;
     a successful one leaves the new iterate, F and its norm there, and
-    returns True.
+    returns True.  turn, a lock the caller holds, is handed to
+    corrector_step (see corrector_round).
     """
     if node.residual is None:
         try:
@@ -185,7 +187,8 @@ def step(problem: ProblemDefinition, node: TreeNode) -> bool:
     node.residual_norm_previous = node.residual_norm_current
     try:
         zeta = corrector_step(
-            problem, node.zeta, node.t_init, node.z_init, node.h_init, node.residual
+            problem, node.zeta, node.t_init, node.z_init, node.h_init,
+            node.residual, turn,
         )
         f = evaluate_residual(problem, zeta, node.z_init)
     except (CorrectorFailure, EvaluationError):
@@ -384,12 +387,12 @@ def corrector_round(
 
     On more than one worker, a problem stepped by bordered_newton_step
     has each task hold the round's turn, one lock, while it steps its
-    node; the step lets it go only while LAPACK factors.  So one thread
-    at a time runs the Python and short numpy calls of a step, which
-    would otherwise hand the GIL to and fro on nearly every call, and
-    the factorizations overlap with the other threads' work.  A custom
-    corrector has no such point to let the turn go, so its tasks take
-    none.
+    node, and pass it to step, which lets it go only while LAPACK
+    factors.  So one thread at a time runs the Python and short numpy
+    calls of a step, which would otherwise hand the GIL to and fro on
+    nearly every call, and the factorizations overlap with the other
+    threads' work.  A custom corrector has no such point to let the turn
+    go, so its tasks take none.
     """
     targets = unfinished_nodes(root)
     calls = -sum(node.nu for node in targets)
@@ -399,11 +402,7 @@ def corrector_round(
 
         def task(problem: ProblemDefinition, node: TreeNode) -> bool:
             with turn:
-                current_turn.lock = turn
-                try:
-                    return step(problem, node)
-                finally:
-                    current_turn.lock = None
+                return step(problem, node, turn)
 
     outcomes = pool.map(task, [(problem, n) for n in targets])
     for node, stepped in zip(targets, outcomes):

@@ -75,18 +75,6 @@ _flapack = _load_flapack()
 dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 
-class _Turn(threading.local):
-    """The calling thread's turn: the corrector round's lock while the
-    thread holds it to step a node, else None.  bordered_newton_step lets
-    it go while getrf factors, which runs without the GIL, so another
-    thread's step proceeds meanwhile (see engine.corrector_round).
-    """
-
-    lock: threading.Lock | None = None
-
-
-current_turn = _Turn()
-
 # Pivot threshold, relative to the largest pivot, at or below which the
 # bordered corrector matrix is treated as numerically singular.
 SINGULAR_PIVOT_RTOL = 1e-14
@@ -210,6 +198,7 @@ def bordered_newton_step(
     z_base: Array,
     h: float,
     f: Array,
+    turn: threading.Lock | None = None,
 ) -> Array:
     """One Newton iteration on the corrector system.
 
@@ -227,8 +216,10 @@ def bordered_newton_step(
     CorrectorFailure("singular bordered system"), which catches an
     all-zero matrix and an infinite pivot.  Any other NaN or infinity, in
     the Jacobian, the tangent or the gap, reaches the update, which
-    corrector_step judges.  A thread that holds a turn lets it go for
-    the factorization alone and takes it back before anything else.
+    corrector_step judges.  turn, when given, is a lock the caller holds:
+    it is let go for the factorization alone, which runs without the
+    GIL, and taken back before anything else, also when getrf raises
+    (see engine.corrector_round).
     """
     n = problem.n_dim
     base = (z_base,) if problem.anchored else ()
@@ -236,7 +227,6 @@ def bordered_newton_step(
     matrix = np.empty((n, n), order="F")
     matrix[:-1] = jac
     matrix[-1] = tangent
-    turn = current_turn.lock
     if turn is None:
         lu, piv = lu_factor(matrix)
     else:
@@ -263,17 +253,18 @@ def corrector_step(
     z_base: Array,
     h: float,
     f: Array,
+    turn: threading.Lock | None = None,
 ) -> Array:
     """Apply one corrector iteration using the problem's stepper.
 
     Dispatches to the user-supplied corrector when present, called as
     (zeta, tangent, z_base, h), otherwise to the default bordered Newton
-    step, which is handed f = F(zeta).  The one judge of either
-    stepper's output: a non-finite iterate raises
+    step, which is handed f = F(zeta) and the caller's turn.  The one
+    judge of either stepper's output: a non-finite iterate raises
     CorrectorFailure("non-finite corrector update").
     """
     if problem.corrector is None:
-        out = bordered_newton_step(problem, zeta, tangent, z_base, h, f)
+        out = bordered_newton_step(problem, zeta, tangent, z_base, h, f, turn)
     else:
         out = _shaped(
             problem.corrector(zeta, tangent, z_base, h), (problem.n_dim,),

@@ -552,39 +552,42 @@ def test_a_custom_corrector_takes_no_turn():
     assert waits == [True]
 
 
-def test_an_error_in_a_step_lets_the_turn_go():
+def test_an_error_in_a_step_lets_the_turn_go(monkeypatch):
     inner = circle_problem()
     turns = []
     refuse = [True]
+    step = engine.step
+
+    def spy(problem, node, turn=None):
+        turns.append((turn, turn.locked()))
+        return step(problem, node, turn)
 
     def jacobian(z):
-        turns.append(problem_module.current_turn.lock)
         if refuse[0] and z[1] == 0.2:
             raise ValueError("jacobian refused")
         return inner.jacobian(z)
 
+    monkeypatch.setattr(engine, "step", spy)
     problem = replace(inner, jacobian=jacobian)
     params = make_params()
     root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
     start, axis = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     root.children = [seed(start, axis, h) for h in (0.1, 0.2, 0.3)]
-    gate = threading.Barrier(3, timeout=5.0)
-
-    def held_turn():
-        # Each of the three threads holds one task until all three do.
-        gate.wait()
-        return problem_module.current_turn.lock
-
     with WorkerPool(3) as pool:
         with pytest.raises(ValueError, match="jacobian refused"):
             corrector_round(root, problem, params, pool)
-        turn = turns[0]
+        turn = turns[0][0]
         assert isinstance(turn, type(threading.Lock()))
-        assert all(t is turn for t in turns) and not turn.locked()
-        assert pool.map(held_turn, [()] * 3) == [None, None, None]
+        # Every task stepped under the round's one turn, which the error
+        # did not leave held.
+        assert all(t is turn and held for t, held in turns)
+        assert not turn.locked()
+        turns.clear()
         refuse[0] = False
         assert corrector_round(root, problem, params, pool) == 3
-    assert problem_module.current_turn.lock is None
+    assert len(turns) == 3 and turns[0][0] is not turn
+    assert all(t is turns[0][0] and held for t, held in turns)
+    assert not turns[0][0].locked()
 
 
 def test_worker_count_below_one_is_rejected():

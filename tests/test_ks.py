@@ -387,11 +387,11 @@ def test_carried_residuals_are_never_stale(monkeypatch):
     step = arctree.engine.corrector_step
     carried = []
 
-    def spy(problem, zeta, tangent, z_base, h, f=None):
+    def spy(problem, zeta, tangent, z_base, h, f=None, turn=None):
         if f is not None:
             fresh = evaluate_residual(problem, zeta, z_base)
             carried.append(f.tobytes() == fresh.tobytes())
-        return step(problem, zeta, tangent, z_base, h, f)
+        return step(problem, zeta, tangent, z_base, h, f, turn)
 
     monkeypatch.setattr(arctree.engine, "corrector_step", spy)
     result = run_continuation(problem, params, z0)

@@ -1,6 +1,7 @@
 """Residual evaluation and the bordered corrector step."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from arctree import (
     ProblemDefinition,
     circle_problem,
 )
+from arctree import problem as problem_module
 from arctree.problem import (
     bordered_newton_step,
     corrector_step,
@@ -187,6 +189,36 @@ def test_zero_bordered_matrix_fails():
         bordered_newton_step(
             problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, np.zeros(1)
         )
+
+
+def test_a_turn_is_let_go_only_while_the_matrix_is_factored(monkeypatch):
+    # No thread is started: the caller holds the turn throughout, and the
+    # step lets it go around lu_factor alone, returning or raising.
+    problem = circle_problem()
+    zeta, tangent = np.array([1.0, 0.1]), np.array([0.0, 1.0])
+    z_base, f = np.array([1.0, 0.0]), np.array([0.01])
+    expected = bordered_newton_step(problem, zeta, tangent, z_base, 0.1, f)
+    turn = threading.Lock()
+    free = []
+    factor = problem_module.lu_factor
+    refuse = [False]
+
+    def lu_factor(matrix):
+        free.append(not turn.locked())
+        if refuse[0]:
+            raise ValueError("getrf refused")
+        return factor(matrix)
+
+    monkeypatch.setattr(problem_module, "lu_factor", lu_factor)
+    with turn:
+        out = bordered_newton_step(problem, zeta, tangent, z_base, 0.1, f, turn=turn)
+        assert turn.locked()
+        refuse[0] = True
+        with pytest.raises(ValueError, match="getrf refused"):
+            bordered_newton_step(problem, zeta, tangent, z_base, 0.1, f, turn=turn)
+        assert turn.locked()
+    assert free == [True, True]
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_known_residual_is_used_in_place_of_an_evaluation():
