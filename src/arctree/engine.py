@@ -13,10 +13,10 @@ from next_step, the step rule serial-pac shares.
 
 Results are deterministic: a corrector task writes only its own node,
 whichever thread pulls it, and colours and counts are applied in
-breadth-first order, so the thread count changes wall time only.  On
-more than one worker the tasks of a round take turns at the Python half
-of a bordered Newton step, and only the LU factorizations, which run
-without the GIL, overlap (see corrector_round).
+breadth-first order, so the thread count changes wall time only.  The
+tasks of a round take turns at the Python half of a bordered Newton
+step, and only the LU factorizations, which run without the GIL,
+overlap (see corrector_round).
 """
 
 from __future__ import annotations
@@ -385,24 +385,22 @@ def corrector_round(
     turns BLACK, and assign_color classifies the rest.  Returns the
     corrector calls the nodes made, the growth of their summed nu.
 
-    On more than one worker, a problem stepped by bordered_newton_step
-    has each task hold the round's turn, one lock, while it steps its
-    node, and pass it to step, which lets it go only while LAPACK
-    factors.  So one thread at a time runs the Python and short numpy
-    calls of a step, which would otherwise hand the GIL to and fro on
-    nearly every call, and the factorizations overlap with the other
-    threads' work.  A custom corrector has no such point to let the turn
-    go, so its tasks take none.
+    Every task holds the round's turn, one lock, while it steps its
+    node, and passes it to step.  bordered_newton_step lets it go only
+    while LAPACK factors, so one thread at a time runs the Python and
+    short numpy calls of a step, which would otherwise hand the GIL to
+    and fro on nearly every call, and the factorizations overlap with
+    the other threads' work.  A custom corrector has no such point and
+    holds the turn for its whole step, so it is never called while
+    another node steps.
     """
     targets = unfinished_nodes(root)
     calls = -sum(node.nu for node in targets)
-    task = step
-    if pool.n_workers > 1 and problem.corrector is None:
-        turn = threading.Lock()
+    turn = threading.Lock()
 
-        def task(problem: ProblemDefinition, node: TreeNode) -> bool:
-            with turn:
-                return step(problem, node, turn)
+    def task(problem: ProblemDefinition, node: TreeNode) -> bool:
+        with turn:
+            return step(problem, node, turn)
 
     outcomes = pool.map(task, [(problem, n) for n in targets])
     for node, stepped in zip(targets, outcomes):
@@ -431,7 +429,7 @@ def advance_root(
         # Any backoff reduce_base_step applied to the child is discarded on
         # purpose.  Growing from the backed-off base instead,
         # next_step(root.h_base, ...), made ks128-tree crawl to
-        # STEP_UNDERFLOW in 21543 rounds and 208387 corrector steps.
+        # STEP_UNDERFLOW in 2160 rounds and 21400 corrector steps.
         root.h_base = next_step(root.h_init, root.nu, params)
         emit(root.zeta)
         emitted += 1

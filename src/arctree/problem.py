@@ -110,7 +110,8 @@ class ProblemDefinition:
     residual maps z (length n_dim) to the residual vector (length
     n_dim - 1).  corrector, when given, applies a single corrector
     iteration with signature (zeta, tangent, z_base, h) -> new zeta and
-    must be a pure function.  When corrector is None the problem must
+    must be a pure function; a tree round calls it one node at a time
+    (see engine.corrector_round).  When corrector is None the problem must
     supply jacobian (shape (n_dim - 1, n_dim)) and the default bordered
     Newton step is used; a problem with neither raises ValueError when it
     is built.  An anchored problem's residual and jacobian take a second

@@ -66,15 +66,12 @@ def circle_problem() -> ProblemDefinition:
 class KsOperators(NamedTuple):
     """Read-only operators of the n-point grid, cached by ks_operators.
 
-    d1, d2 and d4 are the planes of one (3, n, n) array, which rows views
-    as (3n, n) (rows @ w stacks D1 w, D2 w and D4 w) and flat as
-    (3, n * n) ([a, b, c] @ flat is a D1 + b D2 + c D4, flattened).
-    d1_dealiased is D1 with every mode above n // 3 zeroed.
+    rows and flat view one (3, n, n) array, the planes D1, D2 and D4,
+    as (3n, n) (rows @ w stacks D1 w, D2 w and D4 w) and as (3, n * n)
+    ([a, b, c] @ flat is a D1 + b D2 + c D4, flattened).  d1_dealiased
+    is D1 with every mode above n // 3 zeroed.
     """
 
-    d1: Array
-    d2: Array
-    d4: Array
     rows: Array
     flat: Array
     d1_dealiased: Array
@@ -110,7 +107,7 @@ def ks_operators(n: int) -> KsOperators:
     for op in (derivatives, d1_dealiased):
         op.setflags(write=False)
     rows, flat = derivatives.reshape(3 * n, n), derivatives.reshape(3, n * n)
-    return KsOperators(*derivatives, rows, flat, d1_dealiased)
+    return KsOperators(rows, flat, d1_dealiased)
 
 
 def grid(n: int) -> Array:

@@ -530,44 +530,69 @@ def test_factorizations_overlap_on_two_workers(monkeypatch):
     assert counts == (24, 36, 149)
 
 
-def test_a_custom_corrector_takes_no_turn():
-    # One node's corrector waits for the other's.  Had the round given
-    # them a turn, the first would wait out its timeout alone.
-    met = threading.Event()
-    waits = []
+LockType = type(threading.Lock())
+
+
+def spy_on_turns(monkeypatch) -> list:
+    """Wrap engine.step: each call appends (turn, whether it was held)."""
+    turns = []
+    step = engine.step
+
+    def spy(problem, node, turn=None):
+        turns.append((turn, turn is not None and turn.locked()))
+        return step(problem, node, turn)
+
+    monkeypatch.setattr(engine, "step", spy)
+    return turns
+
+
+def assert_one_held_turn(turns, n_tasks):
+    """Every one of n_tasks steps was handed the round's one lock, held,
+    and the round let it go."""
+    turn = turns[0][0]
+    assert len(turns) == n_tasks and isinstance(turn, LockType)
+    assert all(t is turn and held for t, held in turns)
+    assert not turn.locked()
+
+
+def test_custom_corrector_steps_never_overlap_on_two_workers(monkeypatch):
+    # A custom corrector has no factorization to let the turn go around,
+    # so it holds it for its whole step, though its sleep lets the GIL go.
+    turns = spy_on_turns(monkeypatch)
     inner = slow_problem()
-
-    def corrector(zeta, tangent, z_base, h):
-        if h == 0.1:
-            waits.append(met.wait(timeout=2.0))
-        else:
-            met.set()
-        return inner.corrector(zeta, tangent, z_base, h)
-
+    corrector = Overlap(inner.corrector, 2e-3)
     root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
-    root.children = [make_node(Color.RED, nu=0, h_init=h) for h in (0.1, 0.2)]
+    steps = (0.1, 0.2, 0.3, 0.4)
+    root.children = [make_node(Color.RED, nu=0, h_init=h) for h in steps]
     problem = replace(inner, corrector=corrector)
     with WorkerPool(2) as pool:
-        assert corrector_round(root, problem, make_params(), pool) == 2
-    assert waits == [True]
+        assert corrector_round(root, problem, make_params(), pool) == 4
+    assert corrector.most == 1
+    assert_one_held_turn(turns, 4)
+
+
+@pytest.mark.parametrize("make_problem", [circle_problem, slow_problem])
+def test_a_one_worker_round_hands_step_a_held_turn(monkeypatch, make_problem):
+    # One task rule for any worker count and any stepper.
+    turns = spy_on_turns(monkeypatch)
+    root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
+    start, axis = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    root.children = [seed(start, axis, h) for h in (0.1, 0.2, 0.3)]
+    with WorkerPool(1) as pool:
+        assert corrector_round(root, make_problem(), make_params(), pool) == 3
+    assert_one_held_turn(turns, 3)
 
 
 def test_an_error_in_a_step_lets_the_turn_go(monkeypatch):
     inner = circle_problem()
-    turns = []
+    turns = spy_on_turns(monkeypatch)
     refuse = [True]
-    step = engine.step
-
-    def spy(problem, node, turn=None):
-        turns.append((turn, turn.locked()))
-        return step(problem, node, turn)
 
     def jacobian(z):
         if refuse[0] and z[1] == 0.2:
             raise ValueError("jacobian refused")
         return inner.jacobian(z)
 
-    monkeypatch.setattr(engine, "step", spy)
     problem = replace(inner, jacobian=jacobian)
     params = make_params()
     root = make_node(Color.GREEN, nu=0, h_init=0.1, residual=0.0)
@@ -576,18 +601,15 @@ def test_an_error_in_a_step_lets_the_turn_go(monkeypatch):
     with WorkerPool(3) as pool:
         with pytest.raises(ValueError, match="jacobian refused"):
             corrector_round(root, problem, params, pool)
-        turn = turns[0][0]
-        assert isinstance(turn, type(threading.Lock()))
         # Every task stepped under the round's one turn, which the error
         # did not leave held.
-        assert all(t is turn and held for t, held in turns)
-        assert not turn.locked()
+        assert_one_held_turn(turns, len(turns))
+        turn = turns[0][0]
         turns.clear()
         refuse[0] = False
         assert corrector_round(root, problem, params, pool) == 3
-    assert len(turns) == 3 and turns[0][0] is not turn
-    assert all(t is turns[0][0] and held for t, held in turns)
-    assert not turns[0][0].locked()
+    assert_one_held_turn(turns, 3)
+    assert turns[0][0] is not turn
 
 
 def test_worker_count_below_one_is_rejected():

@@ -61,8 +61,7 @@ def fd_jacobian(fn, z, eps=1e-6):
 
 def test_first_derivative_is_exact_on_low_modes():
     n = 64
-    ops = ks_operators(n)
-    d1, d2, d4 = ops.d1, ops.d2, ops.d4
+    d1, d2, d4 = ks_operators(n).rows.reshape(3, n, n)
     x = grid(n)
     w = np.sin(3 * x) + 0.5 * np.cos(7 * x)
     assert d1 @ w == pytest.approx(3 * np.cos(3 * x) - 3.5 * np.sin(7 * x), abs=1e-12)
@@ -71,13 +70,13 @@ def test_first_derivative_is_exact_on_low_modes():
 
 
 def test_first_derivative_is_skew_symmetric():
-    d1 = ks_operators(64).d1
+    d1 = ks_operators(64).rows.reshape(3, 64, 64)[0]
     assert np.abs(d1 + d1.T).max() <= 1e-10
 
 
 def test_fourth_derivative_is_second_squared():
-    ops = ks_operators(32)
-    assert ops.d4 == pytest.approx(ops.d2 @ ops.d2, abs=1e-8)
+    _, d2, d4 = ks_operators(32).rows.reshape(3, 32, 32)
+    assert d4 == pytest.approx(d2 @ d2, abs=1e-8)
 
 
 def dealias_projector(n):
@@ -94,7 +93,8 @@ def test_dealiased_first_derivative_cuts_the_modes_above_a_third():
     kept = ops.d1_dealiased @ np.cos(10 * x)
     assert kept == pytest.approx(-10 * np.sin(10 * x), abs=1e-12)
     assert np.abs(ops.d1_dealiased @ np.cos(11 * x)).max() <= 1e-12
-    assert np.abs(ops.d1_dealiased - ops.d1 @ dealias_projector(32)).max() <= 1e-13
+    d1 = ops.rows.reshape(3, 32, 32)[0]
+    assert np.abs(ops.d1_dealiased - d1 @ dealias_projector(32)).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +134,16 @@ def term_by_term_residual(config, z, ref):
     """
     n = config.n_grid
     ops = ks_operators(n)
+    d1, d2, d4 = ops.rows.reshape(3, n, n)
     w, c, lam = z[:n], z[n], z[n + 1]
     pde = (
         0.5 * (ops.d1_dealiased @ (w * w))
-        - c * (ops.d1 @ w)
-        + ops.d2 @ w
-        + lam * (ops.d4 @ w)
+        - c * (d1 @ w)
+        + d2 @ w
+        + lam * (d4 @ w)
         - config.amplitude * np.sin(w)
     )
-    phase = float((w - ref) @ (ops.d1 @ ref)) / n
+    phase = float((w - ref) @ (d1 @ ref)) / n
     return np.concatenate([pde, [phase]])
 
 
@@ -166,7 +167,7 @@ def test_phase_row_vanishes_at_the_reference():
     z = make_state(config, w)
     assert ks_residual(config, z, z)[n] == 0.0
     # moving along the reference gradient changes the row linearly
-    d1 = ks_operators(n).d1
+    d1 = ks_operators(n).rows.reshape(3, n, n)[0]
     direction = d1 @ w
     z2 = make_state(config, w + 1e-3 * direction)
     expected = 1e-3 * float(direction @ direction) / n
@@ -185,10 +186,9 @@ def test_operator_caches_are_read_only():
 def test_stacked_operators_are_views_of_the_three_planes():
     n = 32
     ops = ks_operators(n)
-    planes = np.stack([ops.d1, ops.d2, ops.d4])
-    assert np.array_equal(ops.rows, planes.reshape(3 * n, n))
+    planes = ops.rows.reshape(3, n, n)
     assert np.array_equal(ops.flat, planes.reshape(3, n * n))
-    for plane in (ops.d1, ops.d2, ops.d4):
+    for plane in planes:
         assert np.shares_memory(ops.rows, plane)
         assert np.shares_memory(ops.flat, plane)
 
@@ -200,8 +200,7 @@ def dense_ks_jacobian(config, z, ref, conservative=True):
     the Jacobian of nonconservative_residual instead.
     """
     n = config.n_grid
-    ops = ks_operators(n)
-    d1, d2, d4 = ops.d1, ops.d2, ops.d4
+    d1, d2, d4 = ks_operators(n).rows.reshape(3, n, n)
     dealias = dealias_projector(n)
     w, c, lam = z[:n], z[n], z[n + 1]
     d1w = d1 @ w
@@ -228,17 +227,17 @@ def nonconservative_residual(config, z, ref):
     The two forms agree on profiles band-limited to n // 3.
     """
     n = config.n_grid
-    ops = ks_operators(n)
+    d1, d2, d4 = ks_operators(n).rows.reshape(3, n, n)
     w, c, lam = z[:n], z[n], z[n + 1]
-    d1w = ops.d1 @ w
+    d1w = d1 @ w
     pde = (
         -c * d1w
         + dealias_projector(n) @ (w * d1w)
-        + ops.d2 @ w
-        + lam * (ops.d4 @ w)
+        + d2 @ w
+        + lam * (d4 @ w)
         - config.amplitude * np.sin(w)
     )
-    return np.append(pde, (w - ref) @ (ops.d1 @ ref) / n)
+    return np.append(pde, (w - ref) @ (d1 @ ref) / n)
 
 
 def test_jacobian_matches_the_dense_formula():
@@ -268,9 +267,10 @@ def term_by_term_jacobian(config, z, ref):
     state = ops.d1_dealiased * w
     state += (np.array([-c, 1.0, lam]) @ ops.flat).reshape(n, n)
     state[np.diag_indices(n)] -= config.amplitude * np.cos(w)
-    top = np.hstack([state, -(ops.d1 @ w)[:, None], (ops.d4 @ w)[:, None]])
+    d1, _, d4 = ops.rows.reshape(3, n, n)
+    top = np.hstack([state, -(d1 @ w)[:, None], (d4 @ w)[:, None]])
     phase_row = np.zeros(n + 2)
-    phase_row[:n] = (ops.d1 @ ref) / n
+    phase_row[:n] = (d1 @ ref) / n
     return np.vstack([top, phase_row[None, :]])
 
 
@@ -427,10 +427,10 @@ def test_every_evaluation_is_anchored_at_its_sequence_base(monkeypatch, algorith
 
     step = arctree.engine.step
 
-    def spy(problem, node):
+    def spy(problem, node, turn=None):
         stepping.append(node.z_init.copy())
         try:
-            return step(problem, node)
+            return step(problem, node, turn)
         finally:
             stepping.pop()
 
