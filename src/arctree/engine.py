@@ -13,10 +13,12 @@ from next_step, the step rule serial-pac shares.
 
 Results are deterministic: a corrector task writes only its own node,
 whichever thread pulls it, and colours and counts are applied in
-breadth-first order, so the thread count changes wall time only.  The
-tasks of a round take turns at the Python half of a bordered Newton
-step, and only the LU factorizations, which run without the GIL,
-overlap (see corrector_round).
+breadth-first order, so the thread count changes wall time only.  Every
+corrector step takes a turn, a lock shared by the sequences of one
+round, or held by one sequence alone in correct.  So the tasks of a
+round take turns at the Python half of a bordered Newton step, and only
+the LU factorizations, which run without the GIL, overlap (see
+corrector_round).
 """
 
 from __future__ import annotations
@@ -160,42 +162,42 @@ def stop_reason(
     return None
 
 
-def step(
-    problem: ProblemDefinition, node: TreeNode, turn: threading.Lock | None = None
-) -> bool:
+def step(problem: ProblemDefinition, node: TreeNode, turn: threading.Lock) -> bool:
     """Call the corrector once on the node's sequence, in place.
 
-    The one place a step failure is caught; none is raised.  F is taken
-    at base z_init, as the bordered row is.  A fresh node first has F
-    evaluated at its iterate and takes that norm as its current one; a
-    non-finite residual there sets it to inf and returns False with no
-    call made.  Otherwise nu counts the call and the current norm becomes
-    the previous one before it is made.  A failed call, or a non-finite
-    residual at the new iterate, returns False and keeps the iterate;
-    a successful one leaves the new iterate, F and its norm there, and
-    returns True.  turn, a lock the caller holds, is handed to
-    corrector_step (see corrector_round).
+    turn is a lock the caller's sequences share, free when step is
+    called: the whole step holds it, and corrector_step is handed it
+    (see corrector_round).  The one place a step failure is caught; none
+    is raised.  F is taken at base z_init, as the bordered row is.  A
+    fresh node first has F evaluated at its iterate and takes that norm
+    as its current one; a non-finite residual there sets it to inf and
+    returns False with no call made.  Otherwise nu counts the call and
+    the current norm becomes the previous one before it is made.  A
+    failed call, or a non-finite residual at the new iterate, returns
+    False and keeps the iterate; a successful one leaves the new
+    iterate, F and its norm there, and returns True.
     """
-    if node.residual is None:
+    with turn:
+        if node.residual is None:
+            try:
+                node.residual = evaluate_residual(problem, node.zeta, node.z_init)
+            except EvaluationError:
+                node.residual_norm_current = math.inf
+                return False
+            node.residual_norm_current = math.sqrt(node.residual.dot(node.residual))
+        node.nu += 1
+        node.residual_norm_previous = node.residual_norm_current
         try:
-            node.residual = evaluate_residual(problem, node.zeta, node.z_init)
-        except EvaluationError:
-            node.residual_norm_current = math.inf
+            zeta = corrector_step(
+                problem, node.zeta, node.t_init, node.z_init, node.h_init,
+                node.residual, turn,
+            )
+            f = evaluate_residual(problem, zeta, node.z_init)
+        except (CorrectorFailure, EvaluationError):
             return False
-        node.residual_norm_current = math.sqrt(node.residual.dot(node.residual))
-    node.nu += 1
-    node.residual_norm_previous = node.residual_norm_current
-    try:
-        zeta = corrector_step(
-            problem, node.zeta, node.t_init, node.z_init, node.h_init,
-            node.residual, turn,
-        )
-        f = evaluate_residual(problem, zeta, node.z_init)
-    except (CorrectorFailure, EvaluationError):
-        return False
-    node.zeta, node.residual = zeta, f
-    node.residual_norm_current = math.sqrt(f.dot(f))
-    return True
+        node.zeta, node.residual = zeta, f
+        node.residual_norm_current = math.sqrt(f.dot(f))
+        return True
 
 
 def correct(
@@ -207,12 +209,14 @@ def correct(
 ) -> tuple[TreeNode | None, int]:
     """Predict a step h along tangent from z_base, then correct to tolerance.
 
-    The sequence is one tree.seed node, advanced by step.  Returns it
-    once converged, or None when max_iter steps do not converge or a step
-    fails, together with its nu: the corrector calls it made.
+    The sequence is one tree.seed node, advanced by step with a turn of
+    its own, as in a one-worker round.  Returns it once converged, or
+    None when max_iter steps do not converge or a step fails, together
+    with its nu: the corrector calls it made.
     """
     node = seed(z_base, tangent, h)
-    while node.nu < params.max_iter and step(problem, node):
+    turn = threading.Lock()
+    while node.nu < params.max_iter and step(problem, node, turn):
         if node.residual_norm_current <= params.tol_residual:
             return node, node.nu
     return None, node.nu
@@ -385,24 +389,19 @@ def corrector_round(
     turns BLACK, and assign_color classifies the rest.  Returns the
     corrector calls the nodes made, the growth of their summed nu.
 
-    Every task holds the round's turn, one lock, while it steps its
-    node, and passes it to step.  bordered_newton_step lets it go only
-    while LAPACK factors, so one thread at a time runs the Python and
-    short numpy calls of a step, which would otherwise hand the GIL to
-    and fro on nearly every call, and the factorizations overlap with
-    the other threads' work.  A custom corrector has no such point and
-    holds the turn for its whole step, so it is never called while
-    another node steps.
+    Every task is step on one node with the round's turn, one lock,
+    which step holds while it steps the node.  bordered_newton_step lets
+    it go only while LAPACK factors, so one thread at a time runs the
+    Python and short numpy calls of a step, which would otherwise hand
+    the GIL to and fro on nearly every call, and the factorizations
+    overlap with the other threads' work.  A custom corrector has no
+    such point and holds the turn for its whole step, so it is never
+    called while another node steps.
     """
     targets = unfinished_nodes(root)
     calls = -sum(node.nu for node in targets)
     turn = threading.Lock()
-
-    def task(problem: ProblemDefinition, node: TreeNode) -> bool:
-        with turn:
-            return step(problem, node, turn)
-
-    outcomes = pool.map(task, [(problem, n) for n in targets])
+    outcomes = pool.map(step, [(problem, n, turn) for n in targets])
     for node, stepped in zip(targets, outcomes):
         calls += node.nu
         node.color = assign_color(node, params) if stepped else Color.BLACK

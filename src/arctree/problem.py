@@ -110,14 +110,15 @@ class ProblemDefinition:
     residual maps z (length n_dim) to the residual vector (length
     n_dim - 1).  corrector, when given, applies a single corrector
     iteration with signature (zeta, tangent, z_base, h) -> new zeta and
-    must be a pure function; a tree round calls it one node at a time
-    (see engine.corrector_round).  When corrector is None the problem must
-    supply jacobian (shape (n_dim - 1, n_dim)) and the default bordered
-    Newton step is used; a problem with neither raises ValueError when it
-    is built.  An anchored problem's residual and jacobian take a second
-    argument, z_base: the seed point of the sequence being corrected, or
-    z itself when a point is re-verified.  A phase condition reads its
-    anchor there, so no problem needs mutable state.
+    must be a pure function; engine.step calls it holding its turn, so a
+    round calls it one node at a time.  When corrector is None the
+    problem must supply jacobian (shape (n_dim - 1, n_dim)) and the
+    default bordered Newton step is used; a problem with neither raises
+    ValueError when it is built.  An anchored problem's residual and
+    jacobian take a second argument, z_base: the seed point of the
+    sequence being corrected, or z itself when a point is re-verified.
+    A phase condition reads its anchor there, so no problem needs
+    mutable state.
     """
 
     n_dim: int
@@ -144,18 +145,16 @@ def _shaped(value: object, shape: tuple[int, ...], what: str) -> Array:
     return out
 
 
-def evaluate_residual(
-    problem: ProblemDefinition, z: Array, z_base: Array | None = None
-) -> Array:
+def evaluate_residual(problem: ProblemDefinition, z: Array, z_base: Array) -> Array:
     """Evaluate F(z), checking the output's shape and finiteness.
 
     z is a float array of n_dim entries: a run checks its start once
     (engine.check_inputs) and builds every later point itself.  An
-    anchored problem is handed z_base, or z itself when it is None.  A
-    residual of the wrong shape is a ValueError, a non-finite one an
-    EvaluationError, so callers can fail the sequence, not crash.
+    anchored problem is handed z_base.  A residual of the wrong shape is
+    a ValueError, a non-finite one an EvaluationError, so callers can
+    fail the sequence, not crash.
     """
-    base = (z if z_base is None else z_base,) if problem.anchored else ()
+    base = (z_base,) if problem.anchored else ()
     out = _shaped(
         problem.residual(z, *base), (problem.n_dim - 1,), "residual has shape"
     )
@@ -166,7 +165,7 @@ def evaluate_residual(
 
 def residual_norm(problem: ProblemDefinition, z: Array) -> float:
     """Euclidean norm of the residual at z, anchored at z itself."""
-    f = evaluate_residual(problem, z)
+    f = evaluate_residual(problem, z, z)
     return math.sqrt(f.dot(f))
 
 
@@ -199,7 +198,7 @@ def bordered_newton_step(
     z_base: Array,
     h: float,
     f: Array,
-    turn: threading.Lock | None = None,
+    turn: threading.Lock,
 ) -> Array:
     """One Newton iteration on the corrector system.
 
@@ -217,10 +216,10 @@ def bordered_newton_step(
     CorrectorFailure("singular bordered system"), which catches an
     all-zero matrix and an infinite pivot.  Any other NaN or infinity, in
     the Jacobian, the tangent or the gap, reaches the update, which
-    corrector_step judges.  turn, when given, is a lock the caller holds:
-    it is let go for the factorization alone, which runs without the
-    GIL, and taken back before anything else, also when getrf raises
-    (see engine.corrector_round).
+    corrector_step judges.  turn is a lock the caller holds: it is let
+    go for the factorization alone, which runs without the GIL, and
+    taken back before anything else, also when getrf raises (see
+    engine.corrector_round).
     """
     n = problem.n_dim
     base = (z_base,) if problem.anchored else ()
@@ -228,14 +227,11 @@ def bordered_newton_step(
     matrix = np.empty((n, n), order="F")
     matrix[:-1] = jac
     matrix[-1] = tangent
-    if turn is None:
+    turn.release()
+    try:
         lu, piv = lu_factor(matrix)
-    else:
-        turn.release()
-        try:
-            lu, piv = lu_factor(matrix)
-        finally:
-            turn.acquire()
+    finally:
+        turn.acquire()
     pivots = np.abs(lu.diagonal())
     if pivots.min() <= SINGULAR_PIVOT_RTOL * pivots.max():
         raise CorrectorFailure("singular bordered system")
@@ -254,15 +250,15 @@ def corrector_step(
     z_base: Array,
     h: float,
     f: Array,
-    turn: threading.Lock | None = None,
+    turn: threading.Lock,
 ) -> Array:
     """Apply one corrector iteration using the problem's stepper.
 
     Dispatches to the user-supplied corrector when present, called as
     (zeta, tangent, z_base, h), otherwise to the default bordered Newton
-    step, which is handed f = F(zeta) and the caller's turn.  The one
-    judge of either stepper's output: a non-finite iterate raises
-    CorrectorFailure("non-finite corrector update").
+    step, which is handed f = F(zeta) and the turn the caller holds.
+    The one judge of either stepper's output: a non-finite iterate
+    raises CorrectorFailure("non-finite corrector update").
     """
     if problem.corrector is None:
         out = bordered_newton_step(problem, zeta, tangent, z_base, h, f, turn)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,13 @@ def run_fresh(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def held_turn() -> threading.Lock:
+    """A new lock, acquired: the turn a corrector step's caller holds."""
+    turn = threading.Lock()
+    turn.acquire()
+    return turn
 
 
 def make_params(**overrides) -> RunParams:

@@ -43,7 +43,7 @@ from arctree.tree import (
     count_nodes,
     prune_tree,
 )
-from conftest import build_prune_fixture, make_node, make_params
+from conftest import build_prune_fixture, held_turn, make_node, make_params
 from test_engine import slow_params, slow_problem, started_root
 from test_fileio import finite, run_params
 
@@ -330,7 +330,7 @@ def ks256_start(problem):
     fixed_lambda[257] = 1.0
     for _ in range(4):
         f = evaluate_residual(problem, z, z)
-        z = bordered_newton_step(problem, z, fixed_lambda, z, 0.0, f)
+        z = bordered_newton_step(problem, z, fixed_lambda, z, 0.0, f, held_turn())
     return z
 
 

@@ -22,7 +22,7 @@ from arctree import (
 from arctree import baselines
 from arctree.engine import bootstrap, start_point
 from arctree.problem import bordered_newton_step
-from conftest import make_params
+from conftest import held_turn, make_params
 
 Z0 = np.array([1.0, 0.0])
 
@@ -174,7 +174,7 @@ def test_serial_seeds_along_its_last_direction_when_the_secant_is_degenerate(
     def corrector(zeta, tangent, z_base, h):
         if np.array_equal(tangent, [0.0, 1.0]):
             f = circle.residual(zeta)
-            return bordered_newton_step(circle, zeta, tangent, z_base, h, f)
+            return bordered_newton_step(circle, zeta, tangent, z_base, h, f, held_turn())
         return z_base.copy()
 
     problem = replace(circle, corrector=corrector)

@@ -48,7 +48,7 @@ from arctree.tree import (
     secant_direction,
     seed,
 )
-from conftest import make_node, make_params
+from conftest import held_turn, make_node, make_params
 from test_baselines import linear_problem
 
 Z0 = np.array([1.0, 0.0])
@@ -311,16 +311,16 @@ def test_step_counts_every_corrector_call():
     # predictor residual is non-finite makes none.
     axis = np.array([0.0, 1.0])
     refused = seed(np.zeros(2), axis, 0.1)
-    assert engine.step(refusing_problem(), refused) is False
+    assert engine.step(refusing_problem(), refused, threading.Lock()) is False
     assert refused.nu == 1
     landed = seed(np.zeros(2), axis, 0.1)
-    assert engine.step(landing_in_nan(), landed) is False
+    assert engine.step(landing_in_nan(), landed, threading.Lock()) is False
     assert landed.nu == 1 and landed.zeta.tolist() == [0.0, 0.1]
     hole = seed(np.zeros(2), axis, 0.2)
-    assert engine.step(nan_beyond_problem(), hole) is False
+    assert engine.step(nan_beyond_problem(), hole, threading.Lock()) is False
     assert hole.nu == 0 and hole.residual_norm_current == np.inf
     stepped = seed(np.zeros(2), axis, 0.1)
-    assert engine.step(slow_problem(), stepped) is True
+    assert engine.step(slow_problem(), stepped, threading.Lock()) is True
     assert stepped.nu == 1
 
 
@@ -534,15 +534,16 @@ LockType = type(threading.Lock())
 
 
 def spy_on_turns(monkeypatch) -> list:
-    """Wrap engine.step: each call appends (turn, whether it was held)."""
+    """Wrap engine.corrector_step, which engine.step calls holding its
+    turn: each call appends (turn, whether it was held)."""
     turns = []
-    step = engine.step
+    corrector_step = engine.corrector_step
 
-    def spy(problem, node, turn=None):
+    def spy(problem, zeta, tangent, z_base, h, f, turn):
         turns.append((turn, turn is not None and turn.locked()))
-        return step(problem, node, turn)
+        return corrector_step(problem, zeta, tangent, z_base, h, f, turn)
 
-    monkeypatch.setattr(engine, "step", spy)
+    monkeypatch.setattr(engine, "corrector_step", spy)
     return turns
 
 
@@ -610,6 +611,33 @@ def test_an_error_in_a_step_lets_the_turn_go(monkeypatch):
         assert corrector_round(root, problem, params, pool) == 3
     assert_one_held_turn(turns, 3)
     assert turns[0][0] is not turn
+
+
+@pytest.mark.parametrize("algorithm", ["bootstrap", "serial-pac", "natural"])
+def test_serial_callers_take_turns(monkeypatch, algorithm):
+    # engine.correct hands every step a turn, as a one-worker round does:
+    # each corrector call holds a lock, which lu_factor runs without.
+    turns = spy_on_turns(monkeypatch)
+    free = []
+    factor = problem_module.lu_factor
+
+    def lu_factor(matrix):
+        turn = turns[-1][0]
+        free.append(isinstance(turn, LockType) and not turn.locked())
+        return factor(matrix)
+
+    monkeypatch.setattr(problem_module, "lu_factor", lu_factor)
+    problem = circle_problem()
+    params = parse_parameters(data_path("circle.params"))
+    z0 = read_initial_point(data_path("circle_start.txt"))
+    if algorithm == "bootstrap":
+        bootstrap(problem, params, start_record(problem, params, z0))
+    else:
+        run = serial_pac if algorithm == "serial-pac" else natural_continuation
+        run(problem, params, z0)
+    assert turns and all(isinstance(t, LockType) and held for t, held in turns)
+    assert free == [True] * len(turns)
+    assert not any(t.locked() for t, _ in turns)
 
 
 def test_worker_count_below_one_is_rejected():
@@ -873,7 +901,8 @@ def test_every_round_spawns_steps_or_emits(case):
         # The bootstrap's probe rides the exact parameter axis; spare it.
         if tangent[0] != 0.0 and rng.random() < failure_rate:
             raise CorrectorFailure("refused at random")
-        return bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
+        f = inner.residual(zeta)
+        return bordered_newton_step(inner, zeta, tangent, z_base, h, f, held_turn())
 
     problem = ProblemDefinition(
         n_dim=2,
@@ -928,7 +957,8 @@ def test_all_black_rounds_shrink_base_step_to_underflow():
         # the bootstrap intact.
         if tangent[0] != 0.0:
             raise CorrectorFailure("refused")
-        return bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
+        f = inner.residual(zeta)
+        return bordered_newton_step(inner, zeta, tangent, z_base, h, f, held_turn())
 
     problem = ProblemDefinition(
         n_dim=2,
@@ -954,7 +984,8 @@ def test_a_stalling_corrector_ends_in_step_underflow():
         # Above lambda 0.5 the step stops improving at residual 1e-6, whose
         # square is within tolerance: every node there stays YELLOW until
         # the iteration cap fails it.
-        out = bordered_newton_step(inner, zeta, tangent, z_base, h, inner.residual(zeta))
+        f = inner.residual(zeta)
+        out = bordered_newton_step(inner, zeta, tangent, z_base, h, f, held_turn())
         if out[1] > 0.5 and abs(out @ out - 1.0) < 1e-6:
             out *= np.sqrt((1.0 + 1e-6) / (out @ out))
         return out

@@ -387,7 +387,7 @@ def test_carried_residuals_are_never_stale(monkeypatch):
     step = arctree.engine.corrector_step
     carried = []
 
-    def spy(problem, zeta, tangent, z_base, h, f=None, turn=None):
+    def spy(problem, zeta, tangent, z_base, h, f, turn):
         if f is not None:
             fresh = evaluate_residual(problem, zeta, z_base)
             carried.append(f.tobytes() == fresh.tobytes())
@@ -427,7 +427,7 @@ def test_every_evaluation_is_anchored_at_its_sequence_base(monkeypatch, algorith
 
     step = arctree.engine.step
 
-    def spy(problem, node, turn=None):
+    def spy(problem, node, turn):
         stepping.append(node.z_init.copy())
         try:
             return step(problem, node, turn)
@@ -551,6 +551,19 @@ def test_ks128_serial_counts_survive_a_one_ulp_nudge(name, nudge):
         result.failures,
     )
     assert counts == {"ks": (259, 794, 5), "circle": (20, 57, 0)}[name]
+
+
+def test_ks_natural_counts():
+    # The packaged KS inputs marched in the parameter end in STEP_UNDERFLOW.
+    # The counts hold under other BLAS kernel types; the curve's bits do not.
+    result = natural_continuation(*nudged_start("ks", None))
+    assert result.termination_reason is TerminationReason.STEP_UNDERFLOW
+    counts = (
+        len(result.accepted_points),
+        result.corrector_steps_total,
+        result.failures,
+    )
+    assert counts == (1777, 4101, 9)
 
 
 def test_ks128_tree_points_polish_under_the_nonconservative_form():

@@ -19,6 +19,7 @@ from arctree.problem import (
     evaluate_residual,
     residual_norm,
 )
+from conftest import held_turn
 from test_engine import counting_circle
 
 
@@ -47,14 +48,14 @@ def test_evaluate_residual_shape_and_finiteness():
         jacobian=no_jacobian,
     )
     with pytest.raises(EvaluationError):
-        evaluate_residual(bad, np.zeros(2))
+        evaluate_residual(bad, np.zeros(2), np.zeros(2))
     wrong_shape = ProblemDefinition(
         n_dim=2, lambda_index=1, residual=lambda z: np.zeros(2), jacobian=no_jacobian
     )
     with pytest.raises(
         ValueError, match=exactly("residual has shape (2,), expected (1,)")
     ):
-        evaluate_residual(wrong_shape, np.zeros(2))
+        evaluate_residual(wrong_shape, np.zeros(2), np.zeros(2))
 
 
 def test_residual_norm_circle():
@@ -70,7 +71,9 @@ def test_bordered_step_hand_oracle():
     z_base = np.array([1.0, 0.0])
     tangent = np.array([0.0, 1.0])
     zeta = z_base + 0.1 * tangent
-    out = corrector_step(problem, zeta, tangent, z_base, 0.1, problem.residual(zeta))
+    out = corrector_step(
+        problem, zeta, tangent, z_base, 0.1, problem.residual(zeta), held_turn()
+    )
     assert out == pytest.approx(np.array([0.995, 0.1]), abs=1e-15)
 
 
@@ -81,7 +84,9 @@ def test_bordered_step_converges_onto_curve():
     h = 0.1
     zeta = z_base + h * tangent
     for _ in range(8):
-        zeta = corrector_step(problem, zeta, tangent, z_base, h, problem.residual(zeta))
+        zeta = corrector_step(
+            problem, zeta, tangent, z_base, h, problem.residual(zeta), held_turn()
+        )
     assert residual_norm(problem, zeta) < 1e-14
     assert tangent @ (zeta - z_base) == pytest.approx(h, abs=1e-12)
 
@@ -99,7 +104,9 @@ def test_hyperplane_constraint_preserved():
         zeta = z_base + h * tangent + rng.normal(scale=0.01, size=2)
         zeta += (h - tangent @ (zeta - z_base)) * tangent
         assert abs(tangent @ (zeta - z_base) - h) < 1e-12
-        out = corrector_step(problem, zeta, tangent, z_base, h, problem.residual(zeta))
+        out = corrector_step(
+            problem, zeta, tangent, z_base, h, problem.residual(zeta), held_turn()
+        )
         assert abs(tangent @ (out - z_base) - h) < 1e-10
 
 
@@ -118,7 +125,9 @@ def test_residual_contraction_near_curve():
         before = residual_norm(problem, zeta)
         if before == 0.0:
             continue
-        out = corrector_step(problem, zeta, tangent, on_curve, h, problem.residual(zeta))
+        out = corrector_step(
+            problem, zeta, tangent, on_curve, h, problem.residual(zeta), held_turn()
+        )
         assert residual_norm(problem, out) <= 0.5 * before
 
 
@@ -140,7 +149,7 @@ def test_singular_bordered_matrix_fails():
         with pytest.raises(CorrectorFailure, match="singular"):
             bordered_newton_step(
                 problem, np.zeros(2), tangent, np.zeros(2), 0.1,
-                problem.residual(np.zeros(2)),
+                problem.residual(np.zeros(2)), held_turn(),
             )
 
 
@@ -174,7 +183,7 @@ def test_non_finite_bordered_system_fails(where):
     with pytest.raises(CorrectorFailure):
         corrector_step(
             problem, np.array([1.0, 0.1]), np.array(case["tangent"]),
-            np.array(case["z_base"]), case["h"], np.array([0.01]),
+            np.array(case["z_base"]), case["h"], np.array([0.01]), held_turn(),
         )
 
 
@@ -187,7 +196,8 @@ def test_zero_bordered_matrix_fails():
     )
     with pytest.raises(CorrectorFailure):
         bordered_newton_step(
-            problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, np.zeros(1)
+            problem, np.zeros(2), np.zeros(2), np.zeros(2), 0.1, np.zeros(1),
+            held_turn(),
         )
 
 
@@ -197,7 +207,7 @@ def test_a_turn_is_let_go_only_while_the_matrix_is_factored(monkeypatch):
     problem = circle_problem()
     zeta, tangent = np.array([1.0, 0.1]), np.array([0.0, 1.0])
     z_base, f = np.array([1.0, 0.0]), np.array([0.01])
-    expected = bordered_newton_step(problem, zeta, tangent, z_base, 0.1, f)
+    expected = bordered_newton_step(problem, zeta, tangent, z_base, 0.1, f, held_turn())
     turn = threading.Lock()
     free = []
     factor = problem_module.lu_factor
@@ -225,7 +235,7 @@ def test_known_residual_is_used_in_place_of_an_evaluation():
     problem, calls = counting_circle()
     corrector_step(
         problem, np.array([1.0, 0.1]), np.array([0.0, 1.0]),
-        np.array([1.0, 0.0]), 0.1, np.array([0.01]),
+        np.array([1.0, 0.0]), 0.1, np.array([0.01]), held_turn(),
     )
     assert calls == []
 
@@ -242,12 +252,12 @@ def test_an_overflowing_bordered_solve_fails():
     with pytest.raises(CorrectorFailure, match="non-finite corrector update"):
         corrector_step(
             problem, np.zeros(2), np.array([0.0, 1e-13]), np.zeros(2), 1e300,
-            np.zeros(1),
+            np.zeros(1), held_turn(),
         )
     # The bordered step itself leaves the update to corrector_step.
     out = bordered_newton_step(
         problem, np.zeros(2), np.array([0.0, 1e-13]), np.zeros(2), 1e300,
-        np.zeros(1),
+        np.zeros(1), held_turn(),
     )
     assert not np.isfinite(out).all()
 
@@ -267,7 +277,8 @@ def test_corrector_requires_jacobian_or_custom():
         ValueError, match=exactly("jacobian has shape (2, 2), expected (1, 2)")
     ):
         corrector_step(
-            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.zeros(1)
+            problem, np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), 0.1,
+            np.zeros(1), held_turn(),
         )
 
 
@@ -285,7 +296,8 @@ def test_custom_corrector_dispatch():
         corrector=stepper,
     )
     out = corrector_step(
-        problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
+        problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1),
+        held_turn(),
     )
     assert calls == [1]
     assert out == pytest.approx(np.array([0.5, 0.5]))
@@ -301,7 +313,8 @@ def test_custom_corrector_output_checked():
     # Both steppers' output is judged once, by the same check.
     with pytest.raises(CorrectorFailure, match=exactly("non-finite corrector update")):
         corrector_step(
-            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
+            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1),
+            held_turn(),
         )
     # A wrong shape is a contract error, not a step failure.
     problem.corrector = lambda zeta, tangent, z_base, h: np.zeros(3)
@@ -309,7 +322,8 @@ def test_custom_corrector_output_checked():
         ValueError, match=exactly("corrector returned shape (3,), expected (2,)")
     ):
         corrector_step(
-            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1)
+            problem, np.ones(2), np.array([0.0, 1.0]), np.zeros(2), 0.1, np.ones(1),
+            held_turn(),
         )
 
 
