@@ -34,6 +34,7 @@ from arctree.problems import (
     reflect_profile,
     reflect_state,
 )
+from arctree.tree import unfinished_nodes
 
 
 def make_state(config, w, c=0.0, lam=0.3):
@@ -564,6 +565,31 @@ def test_ks_natural_counts():
         result.failures,
     )
     assert counts == (1777, 4101, 9)
+
+
+@pytest.mark.parametrize("name", ["circle", "ks"])
+def test_round_model_counts(monkeypatch, name):
+    # ROADMAP's round model: T_P = sum over rounds of ceil(m_r / P), where
+    # m_r is the number of corrector tasks, unfinished nodes, in round r.
+    sizes = []
+    corrector_round = arctree.engine.corrector_round
+
+    def counted(root, *args):
+        sizes.append(len(unfinished_nodes(root)))
+        return corrector_round(root, *args)
+
+    monkeypatch.setattr(arctree.engine, "corrector_round", counted)
+    problem, params, z0 = nudged_start(name, None)
+    if name == "ks":
+        params = replace(params, worker_budget=12)
+    result = run_continuation(problem, params, z0)
+    assert sum(sizes) == result.corrector_steps_total
+    model = [sum(-(-m // workers) for m in sizes) for workers in (2, 4, 12)]
+    counts = (len(sizes), sum(sizes), max(sizes), *model)
+    assert counts == {
+        "circle": (36, 149, 11, 87, 49, 36),
+        "ks": (127, 1282, 12, 654, 336, 127),
+    }[name]
 
 
 def test_ks128_tree_points_polish_under_the_nonconservative_form():
