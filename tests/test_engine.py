@@ -754,20 +754,27 @@ def test_advance_root_after_walkthrough_prune(prune_fixture):
 # ---------------------------------------------------------------------------
 
 
-def test_circle_run_traverses_both_folds():
+@pytest.mark.parametrize("algorithm", [run_continuation, serial_pac])
+def test_circle_run_traverses_both_folds(algorithm):
     params = make_params()
-    result = run_continuation(circle_problem(), params, Z0)
+    result = algorithm(circle_problem(), params, Z0)
     assert result.termination_reason is TerminationReason.REACHED_LAMBDA_MAX
     pts = np.array([p.z for p in result.accepted_points])
     assert len(pts) >= 10
     errors = np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - 1.0)
     assert errors.max() <= params.tol_residual
     assert all(p.residual_norm <= params.tol_residual for p in result.accepted_points)
-    # lambda rises over the fold at (0, 1) and then falls: non-monotone
+    # lambda rises over the fold at (0, 1) and then falls: its one
+    # lambda-fold, where the change in lambda flips sign exactly once
     lam = pts[:, 1]
     peak = int(np.argmax(lam))
     assert 0 < peak < len(lam) - 1
-    assert lam[peak] > lam[0] and lam[peak] > lam[-1]
+    steps = np.diff(lam)
+    assert (steps[:peak] > 0.0).all() and (steps[peak:] < 0.0).all()
+    # the points either side of the fold lie about one step, at most
+    # H_MAX, apart, so the higher one is well within angle H_MAX of it,
+    # and lambda = cos(angle) >= 1 - angle**2 / 2 there
+    assert lam[peak] >= 1.0 - params.h_max**2 / 2
     # every accepted transition is a genuine positive step
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert gaps.min() > 0.0
